@@ -76,16 +76,15 @@ struct Transaction {
   std::vector<NodeId> participants;
 };
 
-/// Participant-side state for a remote fragment: the operations executed on
-/// behalf of a coordinator plus undo information for rollback. The
-/// participant list and operations arrive on a kRemoteExec message; storing
-/// them as copy-on-write vectors shares the message's buffers instead of
-/// deep-copying them into every fragment.
+/// Participant-side state for a remote fragment executed on behalf of a
+/// coordinator: undo information for rollback plus the participant list,
+/// which arrives on the kRemoteExec message; storing it as a copy-on-write
+/// vector shares the message's buffer instead of deep-copying it into
+/// every fragment.
 struct FragmentState {
   TxnId txn = kInvalidTxn;
   NodeId coordinator = kInvalidNode;
   CowVector<NodeId> participants;
-  CowVector<Operation> ops;
   std::vector<UndoRecord> undo;
 };
 
