@@ -18,10 +18,16 @@
 namespace ecdb {
 namespace {
 
+// Explicit zero padding: gtest names the test after the parameter's raw
+// bytes, and implicit padding is uninitialized memory.
 struct SoakCase {
+  SoakCase(CommitProtocol p, double drop)
+      : protocol(p), drop_probability(drop) {}
   CommitProtocol protocol;
+  uint8_t zero_pad[7] = {};
   double drop_probability;
 };
+static_assert(sizeof(SoakCase) == 16, "SoakCase has implicit padding");
 
 class LossSoakTest : public ::testing::TestWithParam<SoakCase> {};
 

@@ -166,11 +166,19 @@ SweepOutcome DualCrashSweep(CommitProtocol protocol, uint32_t n,
 // Safety: Theorem 3.1 (plus the classic results for 2PC/3PC)
 // ---------------------------------------------------------------------------
 
+// gtest prints a parameter it has no printer for as its raw bytes, and the
+// ctest name carries them, so the padding is spelled out as zero bytes:
+// left implicit it holds whatever memory was there, and the names changed
+// from build to build.
 struct SweepParam {
+  SweepParam(CommitProtocol p, uint32_t nodes, CrashOn m)
+      : protocol(p), n(nodes), mode(m) {}
   CommitProtocol protocol;
+  uint8_t zero_pad[3] = {};
   uint32_t n;
   CrashOn mode;
 };
+static_assert(sizeof(SweepParam) == 12, "SweepParam has implicit padding");
 
 std::string SweepName(const ::testing::TestParamInfo<SweepParam>& info) {
   std::string name = ToString(info.param.protocol);

@@ -15,10 +15,15 @@
 namespace ecdb {
 namespace {
 
+// Explicit zero padding: gtest names the test after the parameter's raw
+// bytes, and implicit padding is uninitialized memory.
 struct StressParam {
+  StressParam(CommitProtocol p, uint64_t s) : protocol(p), seed(s) {}
   CommitProtocol protocol;
+  uint8_t zero_pad[7] = {};
   uint64_t seed;
 };
+static_assert(sizeof(StressParam) == 16, "StressParam has implicit padding");
 
 std::string StressName(const ::testing::TestParamInfo<StressParam>& info) {
   std::string name = ToString(info.param.protocol);
