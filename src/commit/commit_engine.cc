@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/slot_pool.h"
 
 namespace ecdb {
 
@@ -24,14 +25,8 @@ const CommitEngine::TxnRecord* CommitEngine::Find(TxnId txn) const {
 CommitEngine::TxnRecord& CommitEngine::GetOrCreate(TxnId txn) {
   const auto [slot, inserted] = index_.Emplace(txn, 0);
   if (!inserted) return pool_[*slot];
-  uint32_t idx;
-  if (!free_records_.empty()) {
-    idx = free_records_.back();  // already Reset by ReleaseRecord
-    free_records_.pop_back();
-  } else {
-    idx = static_cast<uint32_t>(pool_.size());
-    pool_.emplace_back();
-  }
+  // A recycled record was already Reset by ReleaseRecord.
+  const uint32_t idx = TakeSlot(&pool_, &free_records_);
   *slot = idx;  // pool_ growth does not move index_'s slots
   return pool_[idx];
 }

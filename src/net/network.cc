@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/slot_pool.h"
 
 namespace ecdb {
 
@@ -144,13 +145,7 @@ Micros SimNetwork::FrameLatency(const MessageFrame& frame) {
 }
 
 uint32_t SimNetwork::AcquireFlightBatch() {
-  if (!free_flight_.empty()) {
-    const uint32_t idx = free_flight_.back();
-    free_flight_.pop_back();
-    return idx;
-  }
-  flight_.emplace_back();
-  return static_cast<uint32_t>(flight_.size() - 1);
+  return TakeSlot(&flight_, &free_flight_);
 }
 
 void SimNetwork::FlushCoalesced() {

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/slot_pool.h"
 #include "common/types.h"
 #include "sim/task.h"
 
@@ -75,14 +76,7 @@ class Scheduler {
   template <typename F>
   TaskId ScheduleAt(Micros when, F&& task) {
     if (when < now_) when = now_;
-    uint32_t slot;
-    if (free_slots_.empty()) {
-      slot = static_cast<uint32_t>(slots_.size());
-      slots_.emplace_back();
-    } else {
-      slot = free_slots_.back();
-      free_slots_.pop_back();
-    }
+    const uint32_t slot = TakeSlot(&slots_, &free_slots_);
     Slot& s = slots_[slot];
     s.task = std::forward<F>(task);  // constructs in place (TaskFn assign)
     const TaskId id = (static_cast<TaskId>(slot) << 32) | s.gen;
