@@ -10,6 +10,7 @@
 
 #include "cluster/sim_cluster.h"
 #include "commit/recovery.h"
+#include "wal/wal.h"
 #include "workload/ycsb.h"
 
 namespace ecdb {
@@ -62,6 +63,94 @@ TEST(SimNodeTest, WaitDieAbortsLessThanNoWaitUnderContention) {
     return cluster.CollectStats(0.4).AbortRate();
   };
   EXPECT_LE(run(CcPolicy::kWaitDie), run(CcPolicy::kNoWait) * 1.05);
+}
+
+// A NodeCore host that runs every task inline and records what the core
+// sends, so a test can hand one participant messages in a chosen order.
+class RecordingHost : public NodeCore {
+ public:
+  RecordingHost(NodeId id, const Params& params, Workload* workload)
+      : NodeCore(id, params, std::make_unique<MemoryWal>(), workload,
+                 /*monitor=*/nullptr, /*seed=*/1) {}
+  Micros NowUs() const override { return 0; }
+  using NodeCore::CancelTimer;
+
+  std::vector<Message> sent;
+
+ protected:
+  void Transmit(Message msg) override { sent.push_back(std::move(msg)); }
+  TimerId StartTimer(Micros, NodeTimer) override {
+    return static_cast<TimerId>(++timers_);
+  }
+  void CancelTimer(TimerId) override {}
+  void Run(Work, TaskFn task) override { task(); }
+
+ private:
+  uint64_t timers_ = 0;
+};
+
+TEST(SimNodeTest, RollbackOfWaitDieSuspendedExecIsConsumed) {
+  // Participant node 1 runs fragment Y (younger) holding row 0. Older
+  // fragment X asks for the same row and waits; its coordinator gives up
+  // and rolls X back while X still waits. When Y's rollback frees the row,
+  // X finishes: it must undo itself, keep no lock, send no reply and use up
+  // the stashed rollback.
+  ClusterConfig cfg = BaseConfig();
+  cfg.cc_policy = CcPolicy::kWaitDie;
+  YcsbWorkload ycsb(BaseYcsb());
+  RecordingHost node(
+      1,
+      NodeCore::Params::From(cfg, cfg.exec_timeout_us,
+                             /*release_locks_at_decision=*/false),
+      &ycsb);
+  node.Bootstrap();
+  const Operation write{YcsbWorkload::kTableId, ycsb.EncodeKey(1, 0),
+                        AccessMode::kWrite};
+  auto exec = [&](TxnId txn, uint64_t priority_ts) {
+    Message msg;
+    msg.type = MsgType::kRemoteExec;
+    msg.src = TxnCoordinator(txn);
+    msg.dst = 1;
+    msg.txn = txn;
+    msg.priority_ts = priority_ts;
+    msg.ops = {write};
+    msg.participants = {TxnCoordinator(txn), 1};
+    msg.txn_has_writes = true;
+    node.Deliver(std::move(msg));
+  };
+  auto rollback = [&](TxnId txn) {
+    Message msg;
+    msg.type = MsgType::kRemoteRollback;
+    msg.src = TxnCoordinator(txn);
+    msg.dst = 1;
+    msg.txn = txn;
+    node.Deliver(std::move(msg));
+  };
+  const TxnId y = MakeTxnId(2, 1);
+  const TxnId x = MakeTxnId(0, 1);
+  auto version = [&] {
+    return node.store()
+        .GetTable(YcsbWorkload::kTableId)
+        ->Get(write.key)
+        .value()
+        ->version;
+  };
+  const uint64_t version_before = version();
+
+  exec(y, /*priority_ts=*/10);
+  ASSERT_EQ(node.sent.size(), 1u);
+  EXPECT_EQ(node.sent[0].type, MsgType::kRemoteExecOk);
+  exec(x, /*priority_ts=*/5);  // older: waits behind Y
+  EXPECT_EQ(node.sent.size(), 1u);
+  rollback(x);  // X is still waiting: stashed
+  EXPECT_EQ(node.PendingRollbackCount(), 1u);
+  rollback(y);  // frees the row; X runs to completion
+
+  EXPECT_EQ(node.PendingRollbackCount(), 0u);
+  EXPECT_EQ(node.sent.size(), 1u);  // no reply for X
+  EXPECT_EQ(node.locks().ActiveEntries(), 0u);
+  EXPECT_EQ(node.VoteFor(x), Decision::kAbort);  // no fragment kept
+  EXPECT_EQ(version(), version_before);
 }
 
 TEST(SimNodeTest, WalContainsProtocolMilestones) {
