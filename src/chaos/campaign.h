@@ -11,7 +11,6 @@
 #include "common/histogram.h"
 #include "common/types.h"
 #include "obs/metrics_registry.h"
-#include "sim/scheduler.h"
 
 namespace ecdb {
 
@@ -48,11 +47,6 @@ struct ChaosCaseConfig {
   /// proving the coalesced fast path drops/delivers frames without ever
   /// violating atomicity or durability.
   bool coalesce_transport = false;
-
-  /// Event-queue backend. The timer wheel must survive the same fault
-  /// interleavings as the reference heap; campaigns under kTimerWheel are
-  /// the safety net for the wheel's ordering guarantees.
-  SchedulerBackend scheduler_backend = SchedulerBackend::kHeap;
 
   /// Time-series telemetry for each case's cluster. When `metrics_path` is
   /// non-empty (and telemetry.enabled), every case appends a labeled JSONL

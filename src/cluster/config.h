@@ -8,7 +8,6 @@
 #include "common/types.h"
 #include "net/network.h"
 #include "obs/metrics_registry.h"
-#include "sim/scheduler.h"
 #include "workload/open_loop.h"
 
 namespace ecdb {
@@ -67,15 +66,10 @@ struct ClusterConfig {
   /// event. Off by default — delivery *order* across destinations changes
   /// (per-link FIFO is preserved), so runs with the knob on are
   /// deterministic among themselves but not bit-identical to runs with it
-  /// off. Benchmarks and the coalescing chaos variant opt in.
+  /// off. Benchmarks and the coalescing chaos variant opt in. The
+  /// uncoalesced transport stays because pinned goldens run on it: the
+  /// default determinism_test traces and SimClusterTest.TrajectoryGolden.
   bool coalesce_transport = false;
-
-  /// Event-queue backend for the simulation scheduler. The heap default is
-  /// fastest at small scale; kTimerWheel keeps dispatch O(1) amortized when
-  /// a 10^3..10^4-node cluster holds millions of pending events. Event
-  /// order is bit-identical under either (pinned by the determinism
-  /// goldens).
-  SchedulerBackend scheduler_backend = SchedulerBackend::kHeap;
 
   /// Open-loop load generation (off by default: clients run the classic
   /// closed loop, one transaction in flight each).

@@ -9,7 +9,6 @@ namespace ecdb {
 SimCluster::SimCluster(const ClusterConfig& config,
                        std::unique_ptr<Workload> workload)
     : config_(config), workload_(std::move(workload)) {
-  scheduler_.SetBackend(config_.scheduler_backend);
   Rng root(config_.seed);
   network_ = std::make_unique<SimNetwork>(&scheduler_, config_.network,
                                           root.Next());

@@ -188,10 +188,8 @@ class ProtocolTestbed {
  public:
   ProtocolTestbed(CommitProtocol protocol, uint32_t num_nodes,
                   NetworkConfig net = {}, CommitEngineConfig commit = {},
-                  uint64_t seed = 7,
-                  SchedulerBackend backend = SchedulerBackend::kHeap)
+                  uint64_t seed = 7)
       : network_(&scheduler_, net, seed) {
-    scheduler_.SetBackend(backend);
     for (NodeId id = 0; id < num_nodes; ++id) {
       hosts_.push_back(std::make_unique<ProtocolHost>(
           id, protocol, &scheduler_, &network_, &monitor_, commit));

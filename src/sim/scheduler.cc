@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "common/logging.h"
-
 namespace ecdb {
 
 size_t Scheduler::RunUntil(Micros until) {
@@ -31,23 +29,8 @@ size_t Scheduler::RunAll(size_t max_events) {
   return executed;
 }
 
-void Scheduler::SetBackend(SchedulerBackend backend) {
-  ECDB_CHECK(live_count_ == 0);  // switching would strand pending events
-  backend_ = backend;
-  // Drop any stale (cancelled) entries the old backend still holds.
-  heap_.clear();
-  staged_.clear();
-  staged_pos_ = 0;
-  overflow_.clear();
-  for (auto& level : wheel_) {
-    for (auto& bucket : level) bucket.clear();
-  }
-  occupied_.fill(0);
-  wheel_cur_ = now_;
-}
-
 // ---------------------------------------------------------------------------
-// Timer-wheel backend.
+// Timer wheel.
 //
 // Ordering argument. The anchor `wheel_cur_` never exceeds the timestamp of
 // any entry in the wheel, and it advances only inside StageNext — always to
@@ -71,11 +54,11 @@ void Scheduler::SetBackend(SchedulerBackend backend) {
 // A level-0 bucket therefore holds exactly one distinct timestamp (slot
 // field == all remaining bits). Staging sorts it by insertion seq — a
 // cascade can append entries out of seq order — which restores the exact
-// (when, seq) total order the heap produces. Inserts that land on the
-// staged timestamp append to the staged bucket (seq is globally monotonic,
-// so sortedness is preserved); inserts *earlier* than the anchor — possible
-// when RunUntil stopped the clock short of an already-staged bucket — rebase
-// the whole wheel via RewindTo.
+// (when, seq) total order. Inserts that land on the staged timestamp
+// append to the staged bucket (seq is globally monotonic, so sortedness
+// is preserved); inserts *earlier* than the anchor — possible when
+// RunUntil stopped the clock short of an already-staged bucket — rebase the
+// whole wheel via RewindTo.
 // ---------------------------------------------------------------------------
 
 void Scheduler::WheelInsert(const Entry& e) {
@@ -104,19 +87,6 @@ void Scheduler::WheelRoute(const Entry& e) {
     }
   }
   overflow_.push_back(e);
-}
-
-const Scheduler::Entry* Scheduler::PeekLiveWheel() {
-  for (;;) {
-    while (staged_pos_ < staged_.size()) {
-      const Entry& e = staged_[staged_pos_];
-      if (LiveEntry(e)) return &e;
-      ++staged_pos_;  // cancelled: skip lazily, slot already retired
-    }
-    staged_.clear();
-    staged_pos_ = 0;
-    if (!StageNext()) return nullptr;
-  }
 }
 
 bool Scheduler::StageNext() {

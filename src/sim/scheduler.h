@@ -12,22 +12,6 @@
 
 namespace ecdb {
 
-/// Event-queue implementation behind the Scheduler. Both back ends honor
-/// the same contract — events fire in exact (time, insertion-order) order —
-/// so a run is bit-identical under either; they differ only in complexity:
-///
-///  * kHeap: hand-rolled 4-ary heap, O(log n) per event with a very small
-///    constant. Best at the scale the protocol tests and small clusters
-///    run at, and the default.
-///  * kTimerWheel: hierarchical timer wheel (6 levels x 64 slots), O(1)
-///    amortized schedule/dispatch. At 10^4 nodes a single broadcast step
-///    keeps millions of events pending; the heap's log factor (and its
-///    sift traffic) dominates there, the wheel does not.
-enum class SchedulerBackend : uint8_t {
-  kHeap,
-  kTimerWheel,
-};
-
 /// Deterministic discrete-event scheduler: the heart of the simulated
 /// cluster. Events fire in (time, insertion-order) order, so two runs with
 /// the same seed replay identically. All simulated components (network
@@ -37,11 +21,11 @@ enum class SchedulerBackend : uint8_t {
 /// Implementation notes (this is the hottest structure in the repo — every
 /// simulated message and timer passes through it twice):
 ///
-///  * The default priority queue is a hand-rolled 4-ary heap of 24-byte
-///    POD entries; sift operations are plain copies, and the four children
-///    of a node share at most two cache lines. A hierarchical timer-wheel
-///    backend (see SchedulerBackend) can be selected for very large
-///    simulations; it preserves the exact event order.
+///  * The event queue is a hierarchical timer wheel (6 levels x 64 slots)
+///    of 24-byte POD entries: O(1) amortized schedule and dispatch, so the
+///    cost per event stays flat from a 5-node test to a 10^4-node cluster
+///    holding millions of pending events. See scheduler.cc for the argument
+///    that it fires events in exact (time, insertion-order) order.
 ///  * Tasks live inline in generation-counted slots (an append-grown array
 ///    recycled through a free list), so scheduling an event performs no
 ///    hashing, no rehash, and — for callables that fit TaskFn's inline
@@ -65,12 +49,6 @@ class Scheduler {
   /// Current simulated time in microseconds.
   Micros Now() const { return now_; }
 
-  /// Selects the event-queue backend. Only legal while no events are
-  /// pending (typically right after construction): the two structures do
-  /// not share entries, so switching mid-run would strand events.
-  void SetBackend(SchedulerBackend backend);
-  SchedulerBackend backend() const { return backend_; }
-
   /// Schedules `task` to run at absolute simulated time `when` (clamped to
   /// now). Returns an id usable with `Cancel`; ids are never zero.
   template <typename F>
@@ -80,13 +58,7 @@ class Scheduler {
     Slot& s = slots_[slot];
     s.task = std::forward<F>(task);  // constructs in place (TaskFn assign)
     const TaskId id = (static_cast<TaskId>(slot) << 32) | s.gen;
-    const Entry e{when, next_seq_++, id};
-    if (backend_ == SchedulerBackend::kHeap) {
-      heap_.push_back(e);
-      SiftUp(heap_.size() - 1);
-    } else {
-      WheelInsert(e);
-    }
+    WheelInsert(Entry{when, next_seq_++, id});
     ++live_count_;
     return id;
   }
@@ -174,11 +146,6 @@ class Scheduler {
   static constexpr size_t kSlotsPerLevel = size_t{1} << kSlotBits;
   static constexpr uint64_t kSlotMask = kSlotsPerLevel - 1;
 
-  static bool Earlier(const Entry& a, const Entry& b) {
-    if (a.when != b.when) return a.when < b.when;
-    return a.seq < b.seq;  // FIFO among same-time events
-  }
-
   static uint32_t SlotOf(TaskId id) { return static_cast<uint32_t>(id >> 32); }
   static uint32_t GenOf(TaskId id) { return static_cast<uint32_t>(id); }
 
@@ -187,18 +154,21 @@ class Scheduler {
   }
 
   /// The single cancelled-entry skip point: discards stale entries until
-  /// the next pending event is live (or the queue drains). Every pop path —
-  /// RunOne, RunUntil, RunAll — funnels through here.
+  /// the next pending event is live (or the queue drains), staging the
+  /// next level-0 bucket as needed. Every pop path — RunOne, RunUntil,
+  /// RunAll — funnels through here; a non-null result is
+  /// `staged_[staged_pos_]`.
   const Entry* PeekLive() {
-    if (backend_ == SchedulerBackend::kHeap) {
-      while (!heap_.empty()) {
-        const Entry& head = heap_[0];
-        if (LiveEntry(head)) return &head;
-        PopHeap();  // stale: cancelled (or slot since recycled)
+    for (;;) {
+      while (staged_pos_ < staged_.size()) {
+        const Entry& e = staged_[staged_pos_];
+        if (LiveEntry(e)) return &e;
+        ++staged_pos_;  // cancelled: skip lazily, slot already retired
       }
-      return nullptr;
+      staged_.clear();
+      staged_pos_ = 0;
+      if (!StageNext()) return nullptr;
     }
-    return PeekLiveWheel();
   }
 
   /// Pops the (live) head, retires its slot, and runs its task.
@@ -208,30 +178,12 @@ class Scheduler {
   /// cancelling the running task's own id during execution fails, exactly
   /// as with the old erase-then-invoke sequence.
   void RunHead() {
-    Entry head;
-    if (backend_ == SchedulerBackend::kHeap) {
-      head = heap_[0];
-      PopHeap();
-    } else {
-      head = staged_[staged_pos_++];
-    }
+    const Entry head = staged_[staged_pos_++];
     const uint32_t slot = SlotOf(head.id);
     now_ = head.when;
     RetireSlot(slot);
     --live_count_;
     slots_[slot].task.ConsumeInvoke();
-  }
-
-  /// Removes heap_[0], restoring the heap property.
-  void PopHeap() {
-    const size_t last = heap_.size() - 1;
-    if (last > 0) {
-      heap_[0] = heap_[last];
-      heap_.pop_back();
-      SiftDown(0);
-    } else {
-      heap_.pop_back();
-    }
   }
 
   /// Returns a slot (whose task must already be empty) to the free list,
@@ -242,39 +194,9 @@ class Scheduler {
     free_slots_.push_back(slot);
   }
 
-  void SiftUp(size_t i) {
-    const Entry e = heap_[i];
-    while (i > 0) {
-      const size_t parent = (i - 1) >> 2;
-      if (!Earlier(e, heap_[parent])) break;
-      heap_[i] = heap_[parent];
-      i = parent;
-    }
-    heap_[i] = e;
-  }
-
-  void SiftDown(size_t i) {
-    const size_t n = heap_.size();
-    const Entry e = heap_[i];
-    for (;;) {
-      const size_t first = 4 * i + 1;
-      if (first >= n) break;
-      size_t best = first;
-      const size_t limit = first + 4 < n ? first + 4 : n;
-      for (size_t c = first + 1; c < limit; ++c) {
-        if (Earlier(heap_[c], heap_[best])) best = c;
-      }
-      if (!Earlier(heap_[best], e)) break;
-      heap_[i] = heap_[best];
-      i = best;
-    }
-    heap_[i] = e;
-  }
-
-  // --- Timer-wheel backend (see scheduler.cc for the ordering argument) ---
+  // --- Timer wheel (see scheduler.cc for the ordering argument) ---
   void WheelInsert(const Entry& e);
   void WheelRoute(const Entry& e);
-  const Entry* PeekLiveWheel();
   bool StageNext();
   bool RebaseOverflow();
   void RewindTo(Micros t);
@@ -282,11 +204,9 @@ class Scheduler {
   void (*post_step_hook_)(void*) = nullptr;
   void* post_step_ctx_ = nullptr;
 
-  SchedulerBackend backend_ = SchedulerBackend::kHeap;
   Micros now_ = 0;
   uint64_t next_seq_ = 0;
   size_t live_count_ = 0;
-  std::vector<Entry> heap_;
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
 

@@ -1,19 +1,18 @@
-// Unit tests for the discrete-event scheduler.
-//
-// Every behavioral test runs under both event-queue backends (4-ary heap
-// and hierarchical timer wheel): the backends must be observationally
-// identical — same (time, insertion-order) execution order, same Cancel
-// semantics — so the whole suite is parameterized. The stress tests at the
-// bottom additionally run the *same* randomized scenario against both
-// backends and require the exact event sequences to match.
+// Unit tests for the discrete-event scheduler and its timer-wheel event
+// queue. The identity tests at the bottom run randomized scenarios against
+// a test-local reference model — an ordered map keyed by (time, insertion
+// seq) plus a set of cancelled ids — and require the exact event sequences
+// to match.
 
 #include "sim/scheduler.h"
 
 #include <algorithm>
 #include <array>
 #include <functional>
+#include <map>
 #include <memory>
 #include <random>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -22,18 +21,17 @@
 namespace ecdb {
 namespace {
 
-class SchedulerBackendTest : public ::testing::TestWithParam<SchedulerBackend> {
+class SchedulerTest : public ::testing::Test {
  protected:
-  SchedulerBackendTest() { s.SetBackend(GetParam()); }
   Scheduler s;
 };
 
-TEST_P(SchedulerBackendTest, StartsAtZero) {
+TEST_F(SchedulerTest, StartsAtZero) {
   EXPECT_EQ(s.Now(), 0u);
   EXPECT_TRUE(s.Empty());
 }
 
-TEST_P(SchedulerBackendTest, RunsEventsInTimeOrder) {
+TEST_F(SchedulerTest, RunsEventsInTimeOrder) {
   std::vector<int> order;
   s.ScheduleAt(30, [&] { order.push_back(3); });
   s.ScheduleAt(10, [&] { order.push_back(1); });
@@ -43,7 +41,7 @@ TEST_P(SchedulerBackendTest, RunsEventsInTimeOrder) {
   EXPECT_EQ(s.Now(), 30u);
 }
 
-TEST_P(SchedulerBackendTest, SameTimeEventsRunFifo) {
+TEST_F(SchedulerTest, SameTimeEventsRunFifo) {
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
     s.ScheduleAt(5, [&order, i] { order.push_back(i); });
@@ -52,14 +50,14 @@ TEST_P(SchedulerBackendTest, SameTimeEventsRunFifo) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST_P(SchedulerBackendTest, ClockAdvancesToEventTime) {
+TEST_F(SchedulerTest, ClockAdvancesToEventTime) {
   Micros seen = 0;
   s.ScheduleAfter(100, [&] { seen = s.Now(); });
   s.RunOne();
   EXPECT_EQ(seen, 100u);
 }
 
-TEST_P(SchedulerBackendTest, ScheduleAfterIsRelative) {
+TEST_F(SchedulerTest, ScheduleAfterIsRelative) {
   s.ScheduleAt(50, [] {});
   s.RunOne();
   Micros seen = 0;
@@ -68,7 +66,7 @@ TEST_P(SchedulerBackendTest, ScheduleAfterIsRelative) {
   EXPECT_EQ(seen, 75u);
 }
 
-TEST_P(SchedulerBackendTest, PastTimesClampToNow) {
+TEST_F(SchedulerTest, PastTimesClampToNow) {
   s.ScheduleAt(100, [] {});
   s.RunOne();
   Micros seen = 0;
@@ -77,7 +75,7 @@ TEST_P(SchedulerBackendTest, PastTimesClampToNow) {
   EXPECT_EQ(seen, 100u);
 }
 
-TEST_P(SchedulerBackendTest, CancelPreventsExecution) {
+TEST_F(SchedulerTest, CancelPreventsExecution) {
   bool ran = false;
   const auto id = s.ScheduleAfter(10, [&] { ran = true; });
   EXPECT_TRUE(s.Cancel(id));
@@ -85,19 +83,19 @@ TEST_P(SchedulerBackendTest, CancelPreventsExecution) {
   EXPECT_FALSE(ran);
 }
 
-TEST_P(SchedulerBackendTest, CancelReturnsFalseTwice) {
+TEST_F(SchedulerTest, CancelReturnsFalseTwice) {
   const auto id = s.ScheduleAfter(10, [] {});
   EXPECT_TRUE(s.Cancel(id));
   EXPECT_FALSE(s.Cancel(id));
 }
 
-TEST_P(SchedulerBackendTest, CancelAfterRunReturnsFalse) {
+TEST_F(SchedulerTest, CancelAfterRunReturnsFalse) {
   const auto id = s.ScheduleAfter(10, [] {});
   s.RunAll();
   EXPECT_FALSE(s.Cancel(id));
 }
 
-TEST_P(SchedulerBackendTest, RunUntilExecutesOnlyDueEvents) {
+TEST_F(SchedulerTest, RunUntilExecutesOnlyDueEvents) {
   int ran = 0;
   s.ScheduleAt(10, [&] { ran++; });
   s.ScheduleAt(20, [&] { ran++; });
@@ -108,12 +106,12 @@ TEST_P(SchedulerBackendTest, RunUntilExecutesOnlyDueEvents) {
   EXPECT_EQ(s.PendingCount(), 1u);
 }
 
-TEST_P(SchedulerBackendTest, RunUntilAdvancesClockWhenIdle) {
+TEST_F(SchedulerTest, RunUntilAdvancesClockWhenIdle) {
   s.RunUntil(500);
   EXPECT_EQ(s.Now(), 500u);
 }
 
-TEST_P(SchedulerBackendTest, RunUntilSkipsCancelledHead) {
+TEST_F(SchedulerTest, RunUntilSkipsCancelledHead) {
   bool ran = false;
   const auto id = s.ScheduleAt(10, [] {});
   s.ScheduleAt(20, [&] { ran = true; });
@@ -122,7 +120,7 @@ TEST_P(SchedulerBackendTest, RunUntilSkipsCancelledHead) {
   EXPECT_TRUE(ran);
 }
 
-TEST_P(SchedulerBackendTest, EventsMayScheduleMoreEvents) {
+TEST_F(SchedulerTest, EventsMayScheduleMoreEvents) {
   std::vector<Micros> times;
   std::function<void()> chain = [&] {
     times.push_back(s.Now());
@@ -133,17 +131,17 @@ TEST_P(SchedulerBackendTest, EventsMayScheduleMoreEvents) {
   EXPECT_EQ(times, (std::vector<Micros>{10, 20, 30, 40, 50}));
 }
 
-TEST_P(SchedulerBackendTest, RunAllHonorsEventCap) {
+TEST_F(SchedulerTest, RunAllHonorsEventCap) {
   std::function<void()> forever = [&] { s.ScheduleAfter(1, forever); };
   s.ScheduleAfter(1, forever);
   EXPECT_EQ(s.RunAll(100), 100u);
 }
 
-TEST_P(SchedulerBackendTest, RunOneReturnsFalseWhenEmpty) {
+TEST_F(SchedulerTest, RunOneReturnsFalseWhenEmpty) {
   EXPECT_FALSE(s.RunOne());
 }
 
-TEST_P(SchedulerBackendTest, PendingCountExcludesCancelled) {
+TEST_F(SchedulerTest, PendingCountExcludesCancelled) {
   const auto a = s.ScheduleAfter(1, [] {});
   s.ScheduleAfter(2, [] {});
   EXPECT_EQ(s.PendingCount(), 2u);
@@ -151,7 +149,7 @@ TEST_P(SchedulerBackendTest, PendingCountExcludesCancelled) {
   EXPECT_EQ(s.PendingCount(), 1u);
 }
 
-TEST_P(SchedulerBackendTest, RunOneSkipsCancelledHead) {
+TEST_F(SchedulerTest, RunOneSkipsCancelledHead) {
   // The cancelled entry sits at the front of the queue; RunOne must
   // discard it and execute the next live event in the same call.
   int ran = 0;
@@ -163,14 +161,14 @@ TEST_P(SchedulerBackendTest, RunOneSkipsCancelledHead) {
   EXPECT_EQ(s.Now(), 10u);
 }
 
-TEST_P(SchedulerBackendTest, RunUntilPastDrainedQueueReturnsZero) {
+TEST_F(SchedulerTest, RunUntilPastDrainedQueueReturnsZero) {
   s.ScheduleAt(10, [] {});
   EXPECT_EQ(s.RunUntil(50), 1u);
   EXPECT_EQ(s.RunUntil(200), 0u);  // nothing left: just advance the clock
   EXPECT_EQ(s.Now(), 200u);
 }
 
-TEST_P(SchedulerBackendTest, StaleIdOfRecycledSlotIsNotCancellable) {
+TEST_F(SchedulerTest, StaleIdOfRecycledSlotIsNotCancellable) {
   // After an event runs, its storage slot is recycled for the next
   // schedule. The old TaskId must stay dead: cancelling it may not
   // return true and — critically — may not kill the slot's new tenant.
@@ -184,7 +182,7 @@ TEST_P(SchedulerBackendTest, StaleIdOfRecycledSlotIsNotCancellable) {
   EXPECT_TRUE(ran);
 }
 
-TEST_P(SchedulerBackendTest, CancelReleasesCapturedStateImmediately) {
+TEST_F(SchedulerTest, CancelReleasesCapturedStateImmediately) {
   // Cancel destroys the captured state right away (matching the old
   // map-erase semantics) even though the queue entry is reclaimed lazily.
   auto token = std::make_shared<int>(7);
@@ -195,7 +193,7 @@ TEST_P(SchedulerBackendTest, CancelReleasesCapturedStateImmediately) {
   EXPECT_TRUE(watch.expired());
 }
 
-TEST_P(SchedulerBackendTest, LargeCallablesFallBackToHeap) {
+TEST_F(SchedulerTest, LargeCallablesFallBackToHeap) {
   // Captures beyond TaskFn's inline buffer take the heap path; behavior
   // must be identical.
   std::array<uint64_t, 32> payload{};  // 256 bytes > inline capacity
@@ -207,7 +205,7 @@ TEST_P(SchedulerBackendTest, LargeCallablesFallBackToHeap) {
   EXPECT_EQ(sum, 33u);
 }
 
-TEST_P(SchedulerBackendTest, MoveOnlyCallablesAreSupported) {
+TEST_F(SchedulerTest, MoveOnlyCallablesAreSupported) {
   auto box = std::make_unique<int>(41);
   int seen = 0;
   s.ScheduleAfter(1, [b = std::move(box), &seen] { seen = *b + 1; });
@@ -215,7 +213,7 @@ TEST_P(SchedulerBackendTest, MoveOnlyCallablesAreSupported) {
   EXPECT_EQ(seen, 42);
 }
 
-TEST_P(SchedulerBackendTest, RandomizedOrderMatchesReferenceSort) {
+TEST_F(SchedulerTest, RandomizedOrderMatchesReferenceSort) {
   // Adversarial mix of times, FIFO ties and cancellations: execution
   // order must equal a stable sort of the surviving events by time.
   std::mt19937_64 rng(12345);
@@ -245,7 +243,7 @@ TEST_P(SchedulerBackendTest, RandomizedOrderMatchesReferenceSort) {
   }
 }
 
-TEST_P(SchedulerBackendTest, FarFutureTimesRunInOrder) {
+TEST_F(SchedulerTest, FarFutureTimesRunInOrder) {
   // Timestamps beyond the wheel's 2^36us top window (overflow territory)
   // interleaved with near ones.
   std::vector<int> order;
@@ -259,10 +257,10 @@ TEST_P(SchedulerBackendTest, FarFutureTimesRunInOrder) {
   EXPECT_EQ(s.Now(), (Micros{1} << 40) + 1);
 }
 
-TEST_P(SchedulerBackendTest, InsertEarlierThanPendingHeadBetweenRuns) {
+TEST_F(SchedulerTest, InsertEarlierThanPendingHeadBetweenRuns) {
   // RunUntil stops the clock short of the earliest pending event (which
   // the wheel has already staged); a later insert lands *before* it. The
-  // wheel must rewind its anchor; both backends must run 600 before 1000.
+  // wheel must rewind its anchor and run 600 before 1000.
   std::vector<Micros> fired;
   s.ScheduleAt(1000, [&] { fired.push_back(s.Now()); });
   EXPECT_EQ(s.RunUntil(500), 0u);
@@ -272,29 +270,75 @@ TEST_P(SchedulerBackendTest, InsertEarlierThanPendingHeadBetweenRuns) {
   EXPECT_EQ(fired, (std::vector<Micros>{600, 1000}));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Backends, SchedulerBackendTest,
-    ::testing::Values(SchedulerBackend::kHeap, SchedulerBackend::kTimerWheel),
-    [](const ::testing::TestParamInfo<SchedulerBackend>& info) {
-      return info.param == SchedulerBackend::kHeap ? "Heap" : "TimerWheel";
-    });
 
 // ---------------------------------------------------------------------------
-// Heap-vs-wheel identity: the same scripted scenario must produce the exact
-// same (tag, time) execution sequence under both backends. This is the
-// strongest statement of the wheel's correctness — bit-identical order, not
-// just sortedness — and what lets the determinism goldens hold under either.
+// Identity against a reference model: the same scripted scenario must
+// produce the exact same (tag, time) execution sequence on the Scheduler
+// and on ReferenceQueue, which states the (time, insertion-order) contract
+// directly. This is the strongest statement of the wheel's correctness —
+// bit-identical order, not just sortedness — and what keeps the
+// determinism goldens stable across changes to the wheel.
 // ---------------------------------------------------------------------------
+
+// An ordered map keyed by (when, seq) plus a set of cancelled ids, exposing
+// the slice of the Scheduler API the mixes below use. Cancel may only be
+// called on a pending id.
+class ReferenceQueue {
+ public:
+  using TaskId = uint64_t;
+
+  Micros Now() const { return now_; }
+  bool Empty() const { return live_ == 0; }
+
+  TaskId ScheduleAt(Micros when, std::function<void()> task) {
+    const TaskId id = next_seq_++;
+    queue_.emplace(std::make_pair(std::max(when, now_), id), std::move(task));
+    ++live_;
+    return id;
+  }
+  TaskId ScheduleAfter(Micros delay, std::function<void()> task) {
+    return ScheduleAt(now_ + delay, std::move(task));
+  }
+  void Cancel(TaskId id) {
+    if (cancelled_.insert(id).second) --live_;
+  }
+
+  void RunUntil(Micros until) {
+    while (!queue_.empty() && queue_.begin()->first.first <= until) RunHead();
+    now_ = std::max(now_, until);
+  }
+  void RunAll() {
+    while (!queue_.empty()) RunHead();
+  }
+
+ private:
+  void RunHead() {
+    auto head = queue_.begin();
+    const auto [when, id] = head->first;
+    std::function<void()> task = std::move(head->second);
+    queue_.erase(head);
+    if (cancelled_.erase(id) > 0) return;
+    now_ = when;
+    --live_;
+    task();
+  }
+
+  Micros now_ = 0;
+  TaskId next_seq_ = 0;
+  size_t live_ = 0;
+  std::map<std::pair<Micros, TaskId>, std::function<void()>> queue_;
+  std::set<TaskId> cancelled_;
+};
 
 using Firing = std::pair<int, Micros>;
 
 // Static mix: dense ties, multi-level spreads, overflow times, cancels.
-std::vector<Firing> RunStaticMix(SchedulerBackend backend, uint64_t seed) {
-  Scheduler s;
-  s.SetBackend(backend);
+template <typename Queue>
+std::vector<Firing> RunStaticMix(uint64_t seed) {
+  Queue s;
   std::mt19937_64 rng(seed);
   std::vector<Firing> fired;
-  std::vector<Scheduler::TaskId> ids;
+  std::vector<typename Queue::TaskId> ids;
   for (int i = 0; i < 5000; ++i) {
     Micros when;
     switch (rng() % 4) {
@@ -320,13 +364,14 @@ std::vector<Firing> RunStaticMix(SchedulerBackend backend, uint64_t seed) {
   return fired;
 }
 
-TEST(SchedulerWheelIdentityTest, StaticMixMatchesHeap) {
+TEST(SchedulerWheelIdentityTest, StaticMixMatchesReferenceModel) {
   for (uint64_t seed : {1u, 7u, 99u}) {
-    const auto heap = RunStaticMix(SchedulerBackend::kHeap, seed);
-    const auto wheel = RunStaticMix(SchedulerBackend::kTimerWheel, seed);
-    ASSERT_EQ(heap.size(), wheel.size()) << "seed " << seed;
-    for (size_t i = 0; i < heap.size(); ++i) {
-      ASSERT_EQ(heap[i], wheel[i]) << "seed " << seed << " position " << i;
+    const auto model = RunStaticMix<ReferenceQueue>(seed);
+    const auto wheel = RunStaticMix<Scheduler>(seed);
+    ASSERT_EQ(model.size(), 4000u) << "seed " << seed;
+    ASSERT_EQ(model.size(), wheel.size()) << "seed " << seed;
+    for (size_t i = 0; i < model.size(); ++i) {
+      ASSERT_EQ(model[i], wheel[i]) << "seed " << seed << " position " << i;
     }
   }
 }
@@ -334,9 +379,9 @@ TEST(SchedulerWheelIdentityTest, StaticMixMatchesHeap) {
 // Dynamic mix: events schedule further events (cascade + same-time append
 // paths), interleaved with RunUntil slices and between-slice inserts that
 // can land earlier than the staged head (rewind path).
-std::vector<Firing> RunDynamicMix(SchedulerBackend backend, uint64_t seed) {
-  Scheduler s;
-  s.SetBackend(backend);
+template <typename Queue>
+std::vector<Firing> RunDynamicMix(uint64_t seed) {
+  Queue s;
   std::mt19937_64 rng(seed);
   std::vector<Firing> fired;
   int next_tag = 0;
@@ -370,13 +415,13 @@ std::vector<Firing> RunDynamicMix(SchedulerBackend backend, uint64_t seed) {
   return fired;
 }
 
-TEST(SchedulerWheelIdentityTest, DynamicMixMatchesHeap) {
+TEST(SchedulerWheelIdentityTest, DynamicMixMatchesReferenceModel) {
   for (uint64_t seed : {3u, 2024u}) {
-    const auto heap = RunDynamicMix(SchedulerBackend::kHeap, seed);
-    const auto wheel = RunDynamicMix(SchedulerBackend::kTimerWheel, seed);
-    ASSERT_EQ(heap.size(), wheel.size()) << "seed " << seed;
-    for (size_t i = 0; i < heap.size(); ++i) {
-      ASSERT_EQ(heap[i], wheel[i]) << "seed " << seed << " position " << i;
+    const auto model = RunDynamicMix<ReferenceQueue>(seed);
+    const auto wheel = RunDynamicMix<Scheduler>(seed);
+    ASSERT_EQ(model.size(), wheel.size()) << "seed " << seed;
+    for (size_t i = 0; i < model.size(); ++i) {
+      ASSERT_EQ(model[i], wheel[i]) << "seed " << seed << " position " << i;
     }
   }
 }
