@@ -73,9 +73,7 @@ bool ThreadNode::LocalFastPathOpen(NodeId dst) const {
          !network_->IsCrashed(dst);
 }
 
-void ThreadNode::FlushOutput() {
-  // Write-ahead order: this iteration's WAL group becomes durable before
-  // any message announcing its decisions reaches another node's mailbox.
+void ThreadNode::FlushWal() {
   WriteAheadLog& log = wal();
   if (const MetricsHandle& m = metrics(); m.on()) {
     // Time the device round trip, but only count flushes that covered
@@ -94,6 +92,12 @@ void ThreadNode::FlushOutput() {
   } else {
     (void)log.Flush();
   }
+}
+
+void ThreadNode::FlushOutput() {
+  // Write-ahead order: this iteration's WAL group becomes durable before
+  // any message announcing its decisions reaches another node's mailbox.
+  FlushWal();
   for (NodeId dst : dirty_dsts_) {
     std::vector<Message>& buf = send_buffers_[dst];
     if (dst != self() && host_->Hosts(dst) && LocalFastPathOpen(dst)) {
@@ -117,6 +121,9 @@ void ThreadNode::Transmit(Message msg) {
     buf.push_back(std::move(msg));
     return;
   }
+  // Write-ahead order without a flush point: whatever this message reports
+  // must be durable before it leaves. A no-op when nothing is staged.
+  FlushWal();
   // Same-worker fast path: a co-hosted destination's message hops onto the
   // worker's local queue — no channel lock, no condvar wake — and is
   // handled this loop iteration.

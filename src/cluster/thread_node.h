@@ -134,6 +134,11 @@ class ThreadNode : public NodeCore {
   /// SendBatch.
   void FlushOutput();
 
+  /// Makes every staged WAL append durable as one group (timed into the
+  /// wal_flushes metrics when telemetry is on). Runs before any message
+  /// leaves: at the coalescing flush point, or per send when uncoalesced.
+  void FlushWal();
+
   /// True when a message to `dst` may take the same-worker local queue:
   /// faults unarmed and neither endpoint crashed, so the fast path cannot
   /// change loss/link/delay or fail-stop semantics.

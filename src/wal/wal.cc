@@ -1,6 +1,8 @@
 #include "wal/wal.h"
 
 #include <cstring>
+#include <filesystem>
+#include <system_error>
 
 namespace ecdb {
 
@@ -147,13 +149,24 @@ Result<std::unique_ptr<FileWal>> FileWal::Open(const std::string& path) {
   }
   auto wal = std::unique_ptr<FileWal>(new FileWal(path, file));
 
-  // Replay existing records; stop at the first torn/corrupt frame.
+  // Replay existing records; stop at the first torn/corrupt frame and cut
+  // the file there. Appends always go to the end of the file, so a torn
+  // tail left in place would sit between the replayed prefix and every
+  // later record, and the next replay would stop at it again.
   std::fseek(file, 0, SEEK_SET);
   LogRecord record;
+  long good_end = 0;
   while (ReadRecord(file, &record)) {
     wal->records_.push_back(record);
+    good_end = std::ftell(file);
   }
   std::fseek(file, 0, SEEK_END);
+  if (std::ftell(file) > good_end) {
+    std::error_code ec;
+    std::filesystem::resize_file(path, static_cast<uintmax_t>(good_end), ec);
+    if (ec) return Status::IOError("cannot truncate torn WAL tail at " + path);
+    std::fseek(file, 0, SEEK_END);
+  }
   wal->flushed_records_ = wal->records_.size();
   return wal;
 }

@@ -83,7 +83,8 @@ class MemoryWal : public WriteAheadLog {
 class FileWal : public WriteAheadLog {
  public:
   /// Opens (creating if needed) the log at `path` and replays existing
-  /// records into the in-memory index.
+  /// records into the in-memory index. A torn or corrupt tail is cut off
+  /// the file, so new appends follow the last good record.
   static Result<std::unique_ptr<FileWal>> Open(const std::string& path);
 
   ~FileWal() override;

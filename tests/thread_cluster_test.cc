@@ -3,7 +3,9 @@
 
 #include "cluster/thread_node.h"
 
+#include <filesystem>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -109,6 +111,34 @@ TEST(ThreadClusterTest, FileWalPersistsAcrossRun) {
   std::remove((cfg.wal_dir + "/node0.wal").c_str());
   std::remove((cfg.wal_dir + "/node1.wal").c_str());
   std::remove((cfg.wal_dir + "/node2.wal").c_str());
+}
+
+TEST(ThreadClusterTest, UncoalescedFileWalIsWrittenAhead) {
+  // Without coalescing each message leaves as soon as it is produced, so
+  // there is no end-of-iteration flush point: the WAL group behind a
+  // message must reach the file before the message does. Checked while
+  // the cluster is still running, which is what a SIGKILL would keep.
+  ThreadClusterConfig cfg = SmallConfig(CommitProtocol::kEasyCommit);
+  ASSERT_FALSE(cfg.coalesce_transport);
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "uncoalesced_wal";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  cfg.wal_dir = dir.string();
+  uintmax_t bytes_while_running = 0;
+  {
+    ThreadCluster cluster(cfg, std::make_unique<YcsbWorkload>(SmallYcsb()));
+    cluster.Start();
+    cluster.RunFor(0.5);
+    for (NodeId id = 0; id < 3; ++id) {
+      bytes_while_running += std::filesystem::file_size(
+          dir / ("node" + std::to_string(id) + ".wal"));
+    }
+    cluster.Stop();
+    EXPECT_GT(cluster.TotalCommitted(), 0u);
+  }
+  EXPECT_GT(bytes_while_running, 0u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ThreadClusterTest, SurvivesNodeCrashWithoutBlocking) {

@@ -3,7 +3,9 @@
 #include "wal/wal.h"
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -136,6 +138,63 @@ TEST(FileWalTest, TornTailIsIgnored) {
 
   auto wal = std::move(FileWal::Open(path)).value();
   EXPECT_EQ(wal->Size(), 2u);  // valid prefix only
+}
+
+TEST(FileWalTest, TornTailAtEveryOffsetIsTruncated) {
+  // Three records, then the file is cut at every byte offset inside the
+  // last one (k bytes of it survive): reopen, append three more, reopen.
+  // All five records must survive the second reopen — Open cuts the torn
+  // tail off, so the new appends follow the last good record instead of
+  // landing behind garbage the next replay stops at.
+  const std::string path = TempPath("wal_torn_every_offset.log");
+  std::remove(path.c_str());
+  {
+    auto wal = std::move(FileWal::Open(path)).value();
+    wal->Append({0, 1, LogRecordType::kReady, {0, 1}});
+    wal->Append({0, 2, LogRecordType::kReady, {0, 1}});
+    ASSERT_TRUE(wal->Flush().ok());
+  }
+  const uintmax_t two_records = std::filesystem::file_size(path);
+  {
+    auto wal = std::move(FileWal::Open(path)).value();
+    wal->Append({0, 3, LogRecordType::kCommitDecision, {0, 1, 2}});
+  }
+  const uintmax_t three_records = std::filesystem::file_size(path);
+  std::vector<unsigned char> intact(three_records);
+  {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fread(intact.data(), 1, intact.size(), f), intact.size());
+    std::fclose(f);
+  }
+
+  for (uintmax_t k = 0; k < three_records - two_records; ++k) {
+    SCOPED_TRACE("bytes of the last record kept: " + std::to_string(k));
+    {
+      std::FILE* f = std::fopen(path.c_str(), "wb");
+      ASSERT_NE(f, nullptr);
+      std::fwrite(intact.data(), 1, two_records + k, f);
+      std::fclose(f);
+    }
+    {
+      auto wal = std::move(FileWal::Open(path)).value();
+      ASSERT_EQ(wal->Size(), 2u);
+      EXPECT_EQ(std::filesystem::file_size(path), two_records);
+      for (TxnId txn : {4, 5, 6}) {
+        wal->Append({0, txn, LogRecordType::kReady, {0, 1}});
+      }
+      ASSERT_TRUE(wal->Flush().ok());
+    }
+    auto wal = std::move(FileWal::Open(path)).value();
+    const std::vector<LogRecord> records = wal->Scan();
+    ASSERT_EQ(records.size(), 5u);
+    const TxnId want[] = {1, 2, 4, 5, 6};
+    for (size_t i = 0; i < records.size(); ++i) {
+      EXPECT_EQ(records[i].txn, want[i]) << "record " << i;
+      EXPECT_EQ(records[i].lsn, i + 1) << "record " << i;
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(FileWalTest, OpenFailsForBadPath) {
