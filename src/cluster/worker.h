@@ -18,12 +18,12 @@ namespace ecdb {
 class ThreadNode;
 class ThreadNetwork;
 
-/// Wall-clock timer queue shared by every node a worker hosts: the
-/// simulator scheduler's generation-slot 4-ary heap (src/sim/scheduler.h),
-/// specialized for POD NodeTimer payloads. Schedule is a heap push with no
-/// node allocation, Cancel is O(1) lazy (stale entries are skipped at pop
-/// time), and PeekDeadline lets the event loop sleep exactly until the
-/// next due timer across all hosted nodes.
+/// Wall-clock timer queue shared by every node a worker hosts: a 4-ary
+/// heap of (deadline, seq) entries over generation-counted slots of POD
+/// NodeTimer payloads. Schedule is a heap push with no node allocation,
+/// Cancel is O(1) lazy (stale entries are skipped at pop time), and
+/// PeekDeadline lets the event loop sleep exactly until the next due timer
+/// across all hosted nodes.
 class WorkerTimerHeap {
  public:
   using Id = uint64_t;  // (slot << 32) | generation; 0 = unset

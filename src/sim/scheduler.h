@@ -22,10 +22,10 @@ namespace ecdb {
 /// simulated message and timer passes through it twice):
 ///
 ///  * The event queue is a hierarchical timer wheel (6 levels x 64 slots)
-///    of 24-byte POD entries: O(1) amortized schedule and dispatch, so the
-///    cost per event stays flat from a 5-node test to a 10^4-node cluster
-///    holding millions of pending events. See scheduler.cc for the argument
-///    that it fires events in exact (time, insertion-order) order.
+///    of 24-byte POD entries: O(1) amortized schedule and dispatch, so a
+///    10^4-node cluster holding millions of pending events pays no log
+///    factor per event. See scheduler.cc for the argument that it fires
+///    events in exact (time, insertion-order) order.
 ///  * Tasks live inline in generation-counted slots (an append-grown array
 ///    recycled through a free list), so scheduling an event performs no
 ///    hashing, no rehash, and — for callables that fit TaskFn's inline
