@@ -10,6 +10,10 @@ Usage:
     scripts/bench_to_json.py --label pr1 [--build build] [--out BENCH_engine.json]
     scripts/bench_to_json.py --compare seed pr1   # print speedup table
 
+An entry may carry an optional "retired" list of benchmark names its change
+deleted on purpose; --compare lists those rows as retired instead of
+failing on them.
+
 The benchmark binary must already be built:
     cmake -B build -S . && cmake --build build --target bench_engine -j
 """
@@ -165,6 +169,17 @@ def validate_entries(entries):
         last_ordered = number
 
 
+def retired_between(entries, base_label, new_label):
+    """Benchmarks marked retired by any entry after `base_label` up to and
+    including `new_label` (file order)."""
+    labels = [e["label"] for e in entries]
+    lo, hi = labels.index(base_label), labels.index(new_label)
+    retired = set()
+    for entry in entries[lo + 1:hi + 1]:
+        retired.update(entry.get("retired", []))
+    return retired
+
+
 def cmd_record(args):
     out_path = os.path.join(REPO_ROOT, args.out)
     data = load(out_path)
@@ -198,14 +213,20 @@ def cmd_compare(args):
     # A benchmark present in the base but missing from the new snapshot is
     # the classic silent regression (binary dropped from BINARIES, bench
     # renamed, run truncated) — fail loudly instead of shrinking the table.
-    missing = sorted(set(base) - set(new))
-    if missing:
+    # The one exception is a deliberate deletion: an entry's optional
+    # "retired" list names the benchmarks that change removed on purpose.
+    retired = retired_between(data["entries"], args.base, args.new)
+    missing = set(base) - set(new)
+    unmarked = sorted(missing - retired)
+    if unmarked:
         sys.exit(f"benchmarks in '{args.base}' but missing from "
-                 f"'{args.new}': {', '.join(missing)}")
+                 f"'{args.new}': {', '.join(unmarked)}")
     for name in sorted(set(new) - set(base)):
         print(f"note: {name} is new in '{args.new}' (no baseline)",
               file=sys.stderr)
     print(f"{'benchmark':<40} {args.base:>12} {args.new:>12} {'speedup':>9}")
+    for name in sorted(missing):
+        print(f"{name:<40} {'':>12} {'retired':>12}")
     for name in sorted(set(base) & set(new)):
         bi = base[name].get("items_per_second")
         ni = new[name].get("items_per_second")

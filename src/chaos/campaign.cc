@@ -59,17 +59,15 @@ ChaosCaseResult RunCase(const ChaosCaseConfig& cfg, const FaultPlan& plan,
   driver.Schedule(plan);
   cluster.RunFor(static_cast<double>(plan.horizon_us) / 1e6);
 
-  // Latency of the horizon window only — the audit's drain below lets
-  // stragglers finish in fault-free conditions, which would flatten the
-  // tail the faults actually caused.
+  // Latency and quorum counters of the horizon window only — the audit's
+  // drain below lets stragglers finish in fault-free conditions, which
+  // would flatten the tail the faults actually caused.
   for (NodeId id = 0; id < cluster.num_nodes(); ++id) {
-    result.latency.Merge(cluster.node(id).stats().latency);
-    // Quorum counters are harvested here, before the audit's full restart
-    // recreates every engine and zeroes them.
-    result.acceptor_rounds += cluster.node(id).engine().acceptor_rounds();
-    result.ballots_promoted += cluster.node(id).engine().ballots_promoted();
-    result.quorum_lost_rounds +=
-        cluster.node(id).engine().quorum_lost_rounds();
+    const NodeStats stats = cluster.node(id).stats();
+    result.latency.Merge(stats.latency);
+    result.acceptor_rounds += stats.acceptor_rounds;
+    result.ballots_promoted += stats.ballots_promoted;
+    result.quorum_lost_rounds += stats.quorum_lost_rounds;
   }
 
   result.audit = RunConsistencyAudit(&cluster, &driver, cfg.drain_budget);

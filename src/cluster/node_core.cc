@@ -12,7 +12,8 @@ namespace ecdb {
 
 NodeCore::NodeCore(NodeId id, const Params& params,
                    std::unique_ptr<WriteAheadLog> wal, Workload* workload,
-                   SafetyMonitor* monitor, uint64_t seed)
+                   SafetyMonitor* monitor, uint64_t seed,
+                   MetricsHandle metrics)
     : id_(id),
       params_(params),
       workload_(workload),
@@ -25,7 +26,8 @@ NodeCore::NodeCore(NodeId id, const Params& params,
       // The arrival stream's seed is derived from (not equal to) the node
       // seed so it does not correlate with the workload rng_.
       arrivals_(params.open_loop, seed ^ 0x9e3779b97f4a7c15ULL),
-      txn_ids_(id) {
+      txn_ids_(id),
+      metrics_(metrics) {
   trace_.set_node(id_);
   engine_ = std::make_unique<CommitEngine>(params_.protocol, this,
                                            params_.commit);
@@ -143,13 +145,11 @@ void NodeCore::ScheduleNextArrival() {
 }
 
 void NodeCore::OnArrival() {
-  stats_.open_loop_offered++;
-  Count(&CoreMetrics::open_loop_offered);
+  metrics_.Add(&CoreMetrics::open_loop_offered);
   if (free_client_slots_.empty()) {
     // Admission control: shed the arrival (counted, never queued) so an
     // overloaded node's backlog stays bounded.
-    stats_.open_loop_rejected++;
-    Count(&CoreMetrics::open_loop_rejected);
+    metrics_.Add(&CoreMetrics::open_loop_rejected);
     return;
   }
   const uint32_t slot = free_client_slots_.back();
@@ -187,7 +187,7 @@ void NodeCore::Log(TxnId txn, LogRecordType type) {
     }
   }
   wal_->Append(std::move(record));
-  Count(&CoreMetrics::wal_appends);
+  metrics_.Add(&CoreMetrics::wal_appends);
 }
 
 void NodeCore::LogPayload(TxnId txn, LogRecordType type,
@@ -199,7 +199,7 @@ void NodeCore::LogPayload(TxnId txn, LogRecordType type,
   // Quorum snapshot records ride their packed epoch/ballot payload in the
   // participants field (the WAL's one variable-length channel).
   wal_->Append({0, txn, type, payload});
-  Count(&CoreMetrics::wal_appends);
+  metrics_.Add(&CoreMetrics::wal_appends);
 }
 
 void NodeCore::ArmTimer(TxnId txn, Micros delay_us) {
@@ -237,8 +237,7 @@ void NodeCore::ApplyDecision(TxnId txn, Decision decision) {
     if (decision == Decision::kAbort) {
       UndoWrites(attempt->local_undo);
       attempt->local_undo.clear();
-      stats_.txns_aborted++;
-      Count(&CoreMetrics::txns_aborted);
+      metrics_.Add(&CoreMetrics::txns_aborted);
       ScheduleRetry(attempt->slot);
     } else {
       FinishCommitted(txn);
@@ -255,7 +254,7 @@ void NodeCore::ApplyDecision(TxnId txn, Decision decision) {
 }
 
 void NodeCore::OnBlocked(TxnId txn) {
-  stats_.txns_blocked++;
+  metrics_.Add(&CoreMetrics::txns_blocked);
   if (monitor_ != nullptr) monitor_->RecordBlocked(txn, id_);
 }
 
@@ -272,13 +271,13 @@ void NodeCore::OnPhaseSample(TxnId txn, CommitPhase phase,
   (void)txn;
   switch (phase) {
     case CommitPhase::kVoteCollection:
-      stats_.phase_vote.Record(elapsed_us);
+      metrics_.Observe(&CoreMetrics::phase_vote_us, elapsed_us);
       break;
     case CommitPhase::kDecisionTransmit:
-      stats_.phase_transmit.Record(elapsed_us);
+      metrics_.Observe(&CoreMetrics::phase_transmit_us, elapsed_us);
       break;
     case CommitPhase::kDecisionApply:
-      stats_.phase_apply.Record(elapsed_us);
+      metrics_.Observe(&CoreMetrics::phase_apply_us, elapsed_us);
       break;
   }
 }
@@ -460,7 +459,7 @@ void NodeCore::AllFragmentsReady(TxnId txn) {
     return;
   }
   attempt->protocol_started = true;
-  stats_.commit_protocol_runs++;
+  metrics_.Add(&CoreMetrics::commit_protocol_runs);
   engine_->StartCommit(txn, attempt->participants, Decision::kCommit);
 }
 
@@ -483,18 +482,11 @@ void NodeCore::FinishCommitted(TxnId txn) {
   if (attempt == nullptr) return;
   const uint32_t slot = attempt->slot;
   ClientSlot& client = clients_[slot];
-  stats_.txns_committed++;
-  committed_.fetch_add(1, std::memory_order_relaxed);
+  metrics_.Add(&CoreMetrics::txns_committed);
   if (track_acked_ && attempt->protocol_started) {
     acked_commits_.push_back(txn);
   }
-  const Micros latency_us = NowUs() - client.first_start_us;
-  stats_.latency.Record(latency_us);
-  if (metrics_.on()) {
-    metrics_.registry->Add(metrics_.shard, metrics_.ids->txns_committed);
-    metrics_.registry->Observe(metrics_.shard, metrics_.ids->latency_us,
-                               latency_us);
-  }
+  metrics_.Observe(&CoreMetrics::latency_us, NowUs() - client.first_start_us);
   client.in_flight = false;
   if (params_.open_loop.enabled) {
     // Open loop: the slot returns to the admission window; the next
@@ -528,8 +520,7 @@ void NodeCore::AbortAttempt(TxnId txn, bool send_rollbacks) {
       }
     }
   }
-  stats_.txns_aborted++;
-  Count(&CoreMetrics::txns_aborted);
+  metrics_.Add(&CoreMetrics::txns_aborted);
   const uint32_t slot = attempt->slot;
   Run({WorkKind::kAbort}, [this, txn, slot] {
     EraseAttempt(txn);
@@ -543,8 +534,7 @@ void NodeCore::ScheduleRetry(uint32_t slot) {
       (quiesced() || client.attempts >= params_.open_loop.max_attempts)) {
     // Terminal abort: the retry budget ran out (or quiesce is draining the
     // node). Bounded retries keep the conservation law exact.
-    stats_.open_loop_aborted++;
-    Count(&CoreMetrics::open_loop_aborted);
+    metrics_.Add(&CoreMetrics::open_loop_aborted);
     client.in_flight = false;
     free_client_slots_.push_back(slot);
     return;
@@ -764,6 +754,8 @@ void NodeCore::Crash() {
   pending_rollbacks_.clear();
   for (auto& entry : protocol_timers_) CancelTimer(entry.value);
   protocol_timers_.Clear();
+  // The replaced engine's counters live on in the node's totals.
+  retired_engines_ = engine_totals();
   engine_ = std::make_unique<CommitEngine>(params_.protocol, this,
                                            params_.commit);
   engine_->set_trace(&trace_);
@@ -773,8 +765,7 @@ void NodeCore::Crash() {
     free_client_slots_.clear();
     for (uint32_t slot = 0; slot < clients_.size(); ++slot) {
       if (clients_[slot].in_flight) {
-        stats_.open_loop_aborted++;
-        Count(&CoreMetrics::open_loop_aborted);
+        metrics_.Add(&CoreMetrics::open_loop_aborted);
       }
       clients_[slot].in_flight = false;
       free_client_slots_.push_back(slot);
@@ -942,6 +933,81 @@ void NodeCore::ReseedTxnIdsFromWal() {
     }
   }
   txn_ids_.Reseed(max_seq);
+}
+
+// --------------------------------------------------------------------------
+// Stats: views over the registry shard and the engines' counters
+// --------------------------------------------------------------------------
+
+EngineCounters NodeCore::engine_totals() const {
+  const EngineCounters& r = retired_engines_;
+  const CommitEngine& e = *engine_;
+  return {r.termination_rounds + e.termination_rounds(),
+          r.acceptor_rounds + e.acceptor_rounds(),
+          r.ballots_promoted + e.ballots_promoted(),
+          r.quorum_lost_rounds + e.quorum_lost_rounds(),
+          r.duplicate_decisions_suppressed +
+              e.duplicate_decisions_suppressed()};
+}
+
+void NodeCore::BeginMeasurement() {
+  window_base_ = metrics_.registry->ShardSnapshot(metrics_.shard);
+  window_engines_ = engine_totals();
+  metrics_.registry->ResetExtremes(metrics_.shard);
+}
+
+NodeStats NodeCore::stats() const {
+  const MetricsRegistry& registry = *metrics_.registry;
+  const CoreMetrics& ids = *metrics_.ids;
+  // Every total only grows, so a window is a plain difference.
+  auto count = [&](CounterId id) {
+    const uint64_t base =
+        window_base_.counters.empty() ? 0 : window_base_.counters[id];
+    return registry.Count(metrics_.shard, id) - base;
+  };
+  auto hist = [&](HistId id) {
+    return registry.ShardHistogram(metrics_.shard, id, window_base_);
+  };
+  NodeStats s;
+  s.txns_committed = count(ids.txns_committed);
+  s.txns_aborted = count(ids.txns_aborted);
+  s.txns_blocked = count(ids.txns_blocked);
+  s.commit_protocol_runs = count(ids.commit_protocol_runs);
+  s.open_loop_offered = count(ids.open_loop_offered);
+  s.open_loop_rejected = count(ids.open_loop_rejected);
+  s.open_loop_aborted = count(ids.open_loop_aborted);
+  for (size_t i = 0; i < kNumTimeCategories; ++i) {
+    if (i != static_cast<size_t>(TimeCategory::kIdle)) {
+      s.time_us[i] = count(ids.time_us[i]);
+    }
+  }
+  s.latency = hist(ids.latency_us);
+  s.phase_vote = hist(ids.phase_vote_us);
+  s.phase_transmit = hist(ids.phase_transmit_us);
+  s.phase_apply = hist(ids.phase_apply_us);
+  const EngineCounters engine = engine_totals();
+  const EngineCounters& base = window_engines_;
+  s.termination_rounds = engine.termination_rounds - base.termination_rounds;
+  s.acceptor_rounds = engine.acceptor_rounds - base.acceptor_rounds;
+  s.ballots_promoted = engine.ballots_promoted - base.ballots_promoted;
+  s.quorum_lost_rounds = engine.quorum_lost_rounds - base.quorum_lost_rounds;
+  return s;
+}
+
+void NodeCore::AddTo(ClusterStats* out, uint64_t worker_capacity_us) const {
+  NodeStats s = stats();
+  if (worker_capacity_us > 0) {
+    uint64_t busy = 0;
+    for (uint64_t us : s.time_us) busy += us;
+    s.AddTime(TimeCategory::kIdle,
+              worker_capacity_us > busy ? worker_capacity_us - busy : 0);
+  }
+  out->total.Merge(s);
+  // Whole-run counters: the engines' and the WAL's own records.
+  out->duplicate_decisions_suppressed +=
+      engine_totals().duplicate_decisions_suppressed;
+  out->wal_group_flushes += wal_->group_flushes();
+  out->trace_events_dropped += trace_.dropped();
 }
 
 size_t NodeCore::IdleClientCount() const {

@@ -72,12 +72,12 @@ class SimCluster {
   }
 
   /// Takes a final sample and cancels the periodic sampling event. Safe to
-  /// call repeatedly; no-op when telemetry is off.
+  /// call repeatedly; no-op without a sampler.
   void StopTelemetry();
 
   /// The time-series sampler, or nullptr when config.telemetry.enabled is
   /// false.
-  TelemetrySampler* telemetry() { return sampler_.get(); }
+  TelemetrySampler* telemetry() { return telemetry_.sampler(); }
 
   /// Turns on protocol tracing on every node (inert under ECDB_TRACE=OFF).
   void EnableTracing(size_t capacity = TraceRecorder::kDefaultCapacity);
@@ -93,18 +93,11 @@ class SimCluster {
   std::unique_ptr<SimNetwork> network_;
   std::unique_ptr<Workload> workload_;
   SafetyMonitor monitor_;
+  // Node `id` records on shard `id`; the sampler, if any, runs on a
+  // virtual-time event chain, so exports are byte-deterministic.
+  Telemetry telemetry_;
   std::vector<std::unique_ptr<SimNode>> nodes_;
-  Micros measurement_start_us_ = 0;
-
-  // Telemetry (config_.telemetry.enabled): the registry lives on the
-  // cluster, every node records through shard 0 (the sim is
-  // single-threaded), and the sampler is driven by a virtual-time event
-  // chain so exports are byte-deterministic.
-  MetricsRegistry metrics_registry_;
-  CoreMetrics core_metrics_;
-  std::unique_ptr<TelemetrySampler> sampler_;
   Scheduler::TaskId sampler_task_ = 0;
-  uint64_t polled_wal_flushes_ = 0;  // last cumulative group-flush poll
 };
 
 }  // namespace ecdb

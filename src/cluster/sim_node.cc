@@ -9,11 +9,12 @@ namespace ecdb {
 
 SimNode::SimNode(NodeId id, const ClusterConfig& config, Scheduler* scheduler,
                  SimNetwork* network, Workload* workload,
-                 SafetyMonitor* monitor, uint64_t seed)
+                 SafetyMonitor* monitor, uint64_t seed, MetricsHandle metrics)
     : NodeCore(id,
                Params::From(config, config.exec_timeout_us,
                             config.release_locks_at_decision),
-               std::make_unique<MemoryWal>(), workload, monitor, seed),
+               std::make_unique<MemoryWal>(), workload, monitor, seed,
+               metrics),
       config_(config),
       scheduler_(scheduler),
       network_(network) {}
@@ -104,12 +105,13 @@ void SimNode::FinishJobSlot(uint32_t idx) {
   RunningJob job = std::move(running_jobs_[idx]);
   free_job_slots_.push_back(idx);
   if (crashed() || job.epoch != epoch_) return;
-  Micros total = 0;
+  const MetricsHandle& m = metrics();
   for (size_t i = 0; i < kNumTimeCategories; ++i) {
-    stats().time_us[i] += job.cost[i];
-    total += job.cost[i];
+    // kIdle is never charged (and has no counter): idle is derived.
+    if (job.cost[i] != 0) {
+      m.registry->Add(m.shard, m.ids->time_us[i], job.cost[i]);
+    }
   }
-  total_busy_us_ += total;
   job.fn();
   busy_workers_--;
   if (!job_queue_.empty() && busy_workers_ < config_.workers_per_node) {
@@ -120,7 +122,7 @@ void SimNode::FinishJobSlot(uint32_t idx) {
 }
 
 // --------------------------------------------------------------------------
-// Fault injection and stats
+// Fault injection
 // --------------------------------------------------------------------------
 
 void SimNode::Crash() {
@@ -135,15 +137,6 @@ void SimNode::Recover() {
   ECDB_CHECK(crashed());
   network_->RecoverNode(self());
   NodeCore::Recover();
-}
-
-void SimNode::BeginMeasurement() {
-  stats().Clear();
-  busy_at_window_start_ = total_busy_us_;
-  term_rounds_at_window_start_ = engine().termination_rounds();
-  acceptor_rounds_at_window_start_ = engine().acceptor_rounds();
-  ballots_promoted_at_window_start_ = engine().ballots_promoted();
-  quorum_lost_at_window_start_ = engine().quorum_lost_rounds();
 }
 
 }  // namespace ecdb

@@ -16,13 +16,14 @@ namespace ecdb {
 /// engine, clients) hosted on the shared discrete-event scheduler. The host
 /// adds what only a simulation has: a pool of worker threads modeled as
 /// capacity on the scheduler, charging ServiceCosts for every task the core
-/// runs; scheduler timers guarded by a crash epoch; registration with the
-/// simulated network; and the measurement-window counters.
+/// runs (the charged time is recorded per Figure 12 category); scheduler
+/// timers guarded by a crash epoch; and registration with the simulated
+/// network.
 class SimNode : public NodeCore {
  public:
   SimNode(NodeId id, const ClusterConfig& config, Scheduler* scheduler,
           SimNetwork* network, Workload* workload, SafetyMonitor* monitor,
-          uint64_t seed);
+          uint64_t seed, MetricsHandle metrics);
   ~SimNode() override;
 
   /// Loads this node's partition and registers with the network.
@@ -44,39 +45,6 @@ class SimNode : public NodeCore {
   /// it cannot resolve locally are handed to the termination protocol.
   void Recover();
 
-  // --- Introspection ---
-
-  /// Starts a fresh measurement window (clears the stats counters and
-  /// remembers the busy-time baseline used to derive idle time).
-  void BeginMeasurement();
-
-  /// Worker-busy microseconds accumulated since construction.
-  uint64_t total_busy_us() const { return total_busy_us_; }
-  uint64_t busy_us_at_window_start() const { return busy_at_window_start_; }
-
-  /// Termination-protocol rounds initiated since BeginMeasurement(). The
-  /// engine's counter resets when a crash recreates the engine, so the
-  /// difference is clamped at zero.
-  uint64_t TerminationRoundsThisWindow() const {
-    return SinceWindowStart(engine().termination_rounds(),
-                            term_rounds_at_window_start_);
-  }
-
-  /// Quorum-protocol counters since BeginMeasurement(), with the same
-  /// crash-reset clamping as TerminationRoundsThisWindow().
-  uint64_t AcceptorRoundsThisWindow() const {
-    return SinceWindowStart(engine().acceptor_rounds(),
-                            acceptor_rounds_at_window_start_);
-  }
-  uint64_t BallotsPromotedThisWindow() const {
-    return SinceWindowStart(engine().ballots_promoted(),
-                            ballots_promoted_at_window_start_);
-  }
-  uint64_t QuorumLostRoundsThisWindow() const {
-    return SinceWindowStart(engine().quorum_lost_rounds(),
-                            quorum_lost_at_window_start_);
-  }
-
  protected:
   // --- NodeCore host interface ---
   void Transmit(Message msg) override { network_->Send(std::move(msg)); }
@@ -86,10 +54,6 @@ class SimNode : public NodeCore {
 
  private:
   using CostVector = std::array<Micros, kNumTimeCategories>;
-
-  static uint64_t SinceWindowStart(uint64_t now, uint64_t start) {
-    return now > start ? now - start : 0;
-  }
 
   CostVector CostOf(const Work& work) const;
 
@@ -119,13 +83,6 @@ class SimNode : public NodeCore {
   std::vector<RunningJob> running_jobs_;
   std::vector<uint32_t> free_job_slots_;
   uint32_t epoch_ = 0;  // bumped on crash; stale continuations are dropped
-
-  uint64_t total_busy_us_ = 0;
-  uint64_t busy_at_window_start_ = 0;
-  uint64_t term_rounds_at_window_start_ = 0;
-  uint64_t acceptor_rounds_at_window_start_ = 0;
-  uint64_t ballots_promoted_at_window_start_ = 0;
-  uint64_t quorum_lost_at_window_start_ = 0;
 };
 
 }  // namespace ecdb

@@ -8,6 +8,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -256,7 +257,10 @@ void RunSocketNodeChild(const std::string& blob) {
       WriteAll(ctl, "HALTED\n", 7);
     } else if (verb == "STATS") {
       // Thread-confined state: valid only after HALT stopped the worker.
-      const NodeStats& s = host.node().stats();
+      const NodeCore* node = &host.node();
+      const ClusterStats node_stats = NodeCore::Aggregate(
+          std::array{node}, 0, 0, host.network().stats());
+      const NodeStats& s = node_stats.total;
       const SocketIoStats io = host.io_stats();
       std::ostringstream out;
       out << "STATS id=" << setup.node.id
@@ -265,9 +269,9 @@ void RunSocketNodeChild(const std::string& blob) {
           << " offered=" << s.open_loop_offered
           << " rejected=" << s.open_loop_rejected
           << " taborted=" << s.open_loop_aborted
-          << " dup=" << host.node().engine().duplicate_decisions_suppressed()
+          << " dup=" << node_stats.duplicate_decisions_suppressed
           << " term=" << s.termination_rounds
-          << " walf=" << host.node().wal().group_flushes()
+          << " walf=" << node_stats.wal_group_flushes
           << " walr=" << host.node().wal().Size()
           << " bin=" << io.bytes_in << " bout=" << io.bytes_out
           << " rdc=" << io.read_calls << " wvc=" << io.writev_calls

@@ -683,45 +683,31 @@ uint64_t NodeSeed(uint64_t cluster_seed, NodeId id) {
 SocketNode::SocketNode(SocketNodeConfig config)
     : config_(std::move(config)),
       workload_(config_.ycsb),
-      network_(config_.id, config_.cluster.num_nodes) {
+      network_(config_.id, config_.cluster.num_nodes),
+      telemetry_(config_.cluster.telemetry, /*shards=*/1) {
   // One knob drives both halves of the batching story: message coalescing
   // at the send site and writev gathering on the wire. The bench ablation
   // turns both off together — its baseline is one syscall per message.
   network_.SetWritevBatching(config_.cluster.coalesce_transport);
   node_ = std::make_unique<ThreadNode>(
       config_.id, config_.cluster, &network_, &workload_, &monitor_,
-      NodeSeed(config_.cluster.seed, config_.id));
+      NodeSeed(config_.cluster.seed, config_.id), telemetry_.Shard(0));
   worker_ = std::make_unique<ThreadWorker>(
       config_.id, config_.cluster.num_nodes, &network_,
-      config_.cluster.coalesce_transport);
+      config_.cluster.coalesce_transport, telemetry_.Shard(0));
   worker_->AddNode(node_.get());
-  if (config_.cluster.telemetry.enabled) {
-    core_metrics_ = RegisterCoreMetrics(&metrics_registry_);
-    metrics_registry_.Activate(1);
-    node_->BindMetrics(MetricsHandle{&metrics_registry_, &core_metrics_, 0});
-    worker_->BindMetrics(MetricsHandle{&metrics_registry_, &core_metrics_, 0});
-    sampler_ = std::make_unique<TelemetrySampler>(&metrics_registry_,
-                                                  config_.cluster.telemetry);
-    sampler_->SetPollHook([this] {
-      const NetworkStats ns = network_.stats();
-      metrics_registry_.Set(core_metrics_.net_messages_sent,
-                            ns.messages_sent);
-      metrics_registry_.Set(core_metrics_.net_messages_delivered,
-                            ns.messages_delivered);
-      metrics_registry_.Set(core_metrics_.net_messages_dropped,
-                            ns.messages_dropped);
-      metrics_registry_.Set(core_metrics_.net_bytes_sent, ns.bytes_sent);
-      const SocketIoStats io = network_.io_stats();
-      metrics_registry_.Set(core_metrics_.sock_bytes_in, io.bytes_in);
-      metrics_registry_.Set(core_metrics_.sock_bytes_out, io.bytes_out);
-      metrics_registry_.Set(core_metrics_.sock_writev_calls, io.writev_calls);
-      metrics_registry_.Set(core_metrics_.sock_partial_writes,
-                            io.partial_writes);
-      metrics_registry_.Set(core_metrics_.sock_eagain_stalls,
-                            io.eagain_stalls);
-      metrics_registry_.Set(core_metrics_.sock_reconnects, io.reconnects);
-    });
-  }
+  telemetry_.SetPoll([this] {
+    telemetry_.SetNetworkGauges(network_.stats());
+    const CoreMetrics& ids = telemetry_.ids();
+    MetricsRegistry& registry = telemetry_.registry();
+    const SocketIoStats io = network_.io_stats();
+    registry.Set(ids.sock_bytes_in, io.bytes_in);
+    registry.Set(ids.sock_bytes_out, io.bytes_out);
+    registry.Set(ids.sock_writev_calls, io.writev_calls);
+    registry.Set(ids.sock_partial_writes, io.partial_writes);
+    registry.Set(ids.sock_eagain_stalls, io.eagain_stalls);
+    registry.Set(ids.sock_reconnects, io.reconnects);
+  });
 }
 
 SocketNode::~SocketNode() { Stop(); }
@@ -743,49 +729,24 @@ void SocketNode::Start() {
     node_->Recover();
   }
   worker_->Start();
-  if (sampler_ != nullptr) {
-    telemetry_epoch_ = std::chrono::steady_clock::now();
-    sampler_->Reset(0);
-    sampler_thread_ = std::thread([this] {
-      const auto interval = std::chrono::microseconds(
-          config_.cluster.telemetry.sample_interval_us);
-      std::unique_lock<std::mutex> lock(sampler_mu_);
-      while (!sampler_stop_) {
-        sampler_cv_.wait_for(lock, interval);
-        if (sampler_stop_) break;
-        sampler_->Sample(static_cast<Micros>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - telemetry_epoch_)
-                .count()));
-      }
-    });
-  }
+  telemetry_.StartSamplerThread();
 }
 
 void SocketNode::Stop() {
   if (!started_ || stopped_) return;
   stopped_ = true;
   worker_->Stop();
-  if (sampler_thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(sampler_mu_);
-      sampler_stop_ = true;
-    }
-    sampler_cv_.notify_all();
-    sampler_thread_.join();
-    metrics_registry_.Set(core_metrics_.trace_events_dropped,
-                          node_->trace().dropped());
-    sampler_->Sample(static_cast<Micros>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - telemetry_epoch_)
-            .count()));
+  telemetry_.StopSamplerThread([this] {
+    telemetry_.registry().Set(telemetry_.ids().trace_events_dropped,
+                              node_->trace().dropped());
+  });
+  if (TelemetrySampler* sampler = telemetry_.sampler(); sampler != nullptr) {
     if (!config_.telemetry_jsonl.empty()) {
-      sampler_->AppendTimeseriesJsonlFile(
-          "socket_node" + std::to_string(config_.id),
-          config_.telemetry_jsonl);
+      sampler->AppendTimeseriesJsonlFile(
+          "socket_node" + std::to_string(config_.id), config_.telemetry_jsonl);
     }
     if (!config_.telemetry_prom.empty()) {
-      sampler_->WritePrometheusTextFile(config_.telemetry_prom);
+      sampler->WritePrometheusTextFile(config_.telemetry_prom);
     }
   }
   network_.StopIo();

@@ -259,23 +259,13 @@ class SocketNode {
   SafetyMonitor monitor_;
   YcsbWorkload workload_;
   SocketNetwork network_;
+  // The node and its worker record on shard 0; the poll adds the socket
+  // transport's atomics as the sock_* gauges.
+  Telemetry telemetry_;
   std::unique_ptr<ThreadNode> node_;
   std::unique_ptr<ThreadWorker> worker_;
   bool started_ = false;
   bool stopped_ = false;
-
-  // Telemetry (config_.cluster.telemetry.enabled): single-shard registry
-  // (one worker per process) sampled by a wall-clock thread, exactly the
-  // ThreadCluster arrangement. The poll hook folds the socket transport's
-  // atomics into the sock_* gauges.
-  MetricsRegistry metrics_registry_;
-  CoreMetrics core_metrics_;
-  std::unique_ptr<TelemetrySampler> sampler_;
-  std::thread sampler_thread_;
-  std::mutex sampler_mu_;
-  std::condition_variable sampler_cv_;
-  bool sampler_stop_ = false;
-  std::chrono::steady_clock::time_point telemetry_epoch_;
 };
 
 }  // namespace ecdb

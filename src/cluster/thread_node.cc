@@ -23,13 +23,14 @@ std::unique_ptr<WriteAheadLog> OpenWal(const ThreadClusterConfig& config,
 
 ThreadNode::ThreadNode(NodeId id, const ThreadClusterConfig& config,
                        ThreadNetwork* network, Workload* workload,
-                       SafetyMonitor* monitor, uint64_t seed)
+                       SafetyMonitor* monitor, uint64_t seed,
+                       MetricsHandle metrics)
     // Wall-clock runs have no separate execution-timeout knob: four
     // protocol timeouts.
     : NodeCore(id,
                Params::From(config, config.commit.timeout_us * 4,
                             /*release_locks_at_decision=*/false),
-               OpenWal(config, id), workload, monitor, seed),
+               OpenWal(config, id), workload, monitor, seed, metrics),
       config_(config),
       network_(network) {
   if (config_.coalesce_transport) send_buffers_.resize(config_.num_nodes);
@@ -75,22 +76,17 @@ bool ThreadNode::LocalFastPathOpen(NodeId dst) const {
 
 void ThreadNode::FlushWal() {
   WriteAheadLog& log = wal();
-  if (const MetricsHandle& m = metrics(); m.on()) {
-    // Time the device round trip, but only count flushes that covered
-    // staged records (group_flushes() moves iff the flush did work).
-    const uint64_t flushes_before = log.group_flushes();
-    const auto t0 = std::chrono::steady_clock::now();
-    (void)log.Flush();
-    if (log.group_flushes() > flushes_before) {
-      const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-      m.registry->Add(m.shard, m.ids->wal_flushes);
-      m.registry->Observe(m.shard, m.ids->wal_flush_us,
-                          static_cast<uint64_t>(us));
-    }
-  } else {
-    (void)log.Flush();
+  // Time the device round trip, but only count flushes that covered staged
+  // records (group_flushes() moves iff the flush did work).
+  const uint64_t flushes_before = log.group_flushes();
+  const auto t0 = std::chrono::steady_clock::now();
+  (void)log.Flush();
+  if (log.group_flushes() > flushes_before) {
+    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+    metrics().Add(&CoreMetrics::wal_flushes);
+    metrics().Observe(&CoreMetrics::wal_flush_us, static_cast<uint64_t>(us));
   }
 }
 
@@ -173,7 +169,9 @@ void ThreadNode::Recover() {
 
 ThreadCluster::ThreadCluster(const ThreadClusterConfig& config,
                              std::unique_ptr<Workload> workload)
-    : config_(config), workload_(std::move(workload)) {
+    : config_(config),
+      workload_(std::move(workload)),
+      telemetry_(config_.telemetry, config_.num_nodes) {
   // worker_threads == 0 is thread-per-node: W == num_nodes, one node per
   // worker, and the per-worker mailbox degenerates to the old per-node
   // mailbox — one code path serves both deployment shapes.
@@ -185,44 +183,20 @@ ThreadCluster::ThreadCluster(const ThreadClusterConfig& config,
   workers_.reserve(workers);
   for (uint32_t w = 0; w < workers; ++w) {
     workers_.push_back(std::make_unique<ThreadWorker>(
-        w, workers, network_.get(), config_.coalesce_transport));
+        w, workers, network_.get(), config_.coalesce_transport,
+        telemetry_.Shard(w)));
   }
   Rng root(config_.seed);
   for (NodeId id = 0; id < config_.num_nodes; ++id) {
     nodes_.push_back(std::make_unique<ThreadNode>(
-        id, config_, network_.get(), workload_.get(), &monitor_,
-        root.Next()));
+        id, config_, network_.get(), workload_.get(), &monitor_, root.Next(),
+        telemetry_.Shard(id)));
     workers_[id % workers]->AddNode(nodes_.back().get());
   }
-  if (config_.telemetry.enabled) {
-    core_metrics_ = RegisterCoreMetrics(&metrics_registry_);
-    // One shard per event-loop worker: a node records through its hosting
-    // worker's shard, so concurrent record paths never share a cell.
-    metrics_registry_.Activate(workers);
-    for (NodeId id = 0; id < config_.num_nodes; ++id) {
-      nodes_[id]->BindMetrics(
-          MetricsHandle{&metrics_registry_, &core_metrics_, id % workers});
-    }
-    for (uint32_t w = 0; w < workers; ++w) {
-      workers_[w]->BindMetrics(
-          MetricsHandle{&metrics_registry_, &core_metrics_, w});
-    }
-    sampler_ = std::make_unique<TelemetrySampler>(&metrics_registry_,
-                                                  config_.telemetry);
-    sampler_->SetPollHook([this] {
-      // Only lock-free sources here: the sampler thread runs concurrently
-      // with the workers, so thread-confined state (NodeStats, trace
-      // recorders) is off limits — ThreadNetwork's counters are atomics.
-      const NetworkStats ns = network_->stats();
-      metrics_registry_.Set(core_metrics_.net_messages_sent,
-                            ns.messages_sent);
-      metrics_registry_.Set(core_metrics_.net_messages_delivered,
-                            ns.messages_delivered);
-      metrics_registry_.Set(core_metrics_.net_messages_dropped,
-                            ns.messages_dropped);
-      metrics_registry_.Set(core_metrics_.net_bytes_sent, ns.bytes_sent);
-    });
-  }
+  // Only lock-free sources here: the sampler thread runs concurrently with
+  // the workers, and ThreadNetwork's counters are atomics.
+  telemetry_.SetPoll(
+      [this] { telemetry_.SetNetworkGauges(network_->stats()); });
 }
 
 ThreadCluster::~ThreadCluster() { Stop(); }
@@ -232,27 +206,7 @@ void ThreadCluster::Start() {
   started_ = true;
   for (auto& node : nodes_) node->Bootstrap();
   for (auto& worker : workers_) worker->Start();
-  if (sampler_ != nullptr) {
-    telemetry_epoch_ = std::chrono::steady_clock::now();
-    sampler_->Reset(0);
-    sampler_thread_ = std::thread([this] {
-      const auto interval =
-          std::chrono::microseconds(config_.telemetry.sample_interval_us);
-      std::unique_lock<std::mutex> lock(sampler_mu_);
-      while (!sampler_stop_) {
-        sampler_cv_.wait_for(lock, interval);
-        if (sampler_stop_) break;
-        sampler_->Sample(TelemetryNowUs());
-      }
-    });
-  }
-}
-
-Micros ThreadCluster::TelemetryNowUs() const {
-  return static_cast<Micros>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - telemetry_epoch_)
-          .count());
+  telemetry_.StartSamplerThread();
 }
 
 void ThreadCluster::RunFor(double seconds) {
@@ -271,20 +225,14 @@ void ThreadCluster::Stop() {
   for (auto& worker : workers_) worker->SignalStop();
   for (auto& worker : workers_) worker->Stop();
   network_->Shutdown();
-  if (sampler_thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(sampler_mu_);
-      sampler_stop_ = true;
-    }
-    sampler_cv_.notify_all();
-    sampler_thread_.join();
-    // Workers are joined: one final sample closes the tail interval, and
-    // thread-confined sources (trace rings) are now safe to fold in.
+  // Workers are joined: thread-confined sources (trace rings) are now safe
+  // to fold into the final sample.
+  telemetry_.StopSamplerThread([this] {
     uint64_t trace_drops = 0;
     for (const auto& node : nodes_) trace_drops += node->trace().dropped();
-    metrics_registry_.Set(core_metrics_.trace_events_dropped, trace_drops);
-    sampler_->Sample(TelemetryNowUs());
-  }
+    telemetry_.registry().Set(telemetry_.ids().trace_events_dropped,
+                              trace_drops);
+  });
   started_ = false;
 }
 
@@ -295,33 +243,12 @@ uint64_t ThreadCluster::TotalCommitted() const {
 }
 
 ClusterStats ThreadCluster::CollectStats(double duration_seconds) const {
-  ClusterStats out;
-  out.duration_seconds = duration_seconds;
-  out.num_nodes = config_.num_nodes;
-  for (const auto& node : nodes_) {
-    NodeStats ns = node->stats();
-    // The engine counts rounds itself; a crash recreates the engine and
-    // resets the counter, so this undercounts across crashes (documented
-    // behaviour — the counter is a failure-handling signal, not an exact
-    // ledger).
-    ns.termination_rounds = node->engine().termination_rounds();
-    ns.acceptor_rounds = node->engine().acceptor_rounds();
-    ns.ballots_promoted = node->engine().ballots_promoted();
-    ns.quorum_lost_rounds = node->engine().quorum_lost_rounds();
-    out.total.Merge(ns);
-    out.duplicate_decisions_suppressed +=
-        node->engine().duplicate_decisions_suppressed();
-    out.wal_group_flushes += node->wal().group_flushes();
-    out.trace_events_dropped += node->trace().dropped();
-  }
-  out.net_messages_from_crashed = network_->messages_from_crashed();
-  out.net_messages_to_crashed = network_->messages_to_crashed();
-  const NetworkStats net = network_->stats();
-  out.net_frames_sent = net.frames_sent;
-  out.net_messages_coalesced = net.messages_coalesced;
+  ClusterStats out =
+      NodeCore::Aggregate(nodes_, duration_seconds,
+                          /*worker_capacity_us=*/0, network_->stats());
   out.worker_threads = workers_.size();
   for (const auto& worker : workers_) {
-    const WorkerStats& ws = worker->stats();
+    const WorkerStats ws = worker->stats();
     out.worker_mailbox_messages += ws.mailbox_messages;
     out.worker_local_messages += ws.local_messages;
   }

@@ -3,11 +3,8 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cluster/node_core.h"
@@ -64,9 +61,9 @@ struct ThreadClusterConfig {
   OpenLoopConfig open_loop;
 
   /// Time-series telemetry (off by default). When enabled the cluster
-  /// runs a wall-clock sampler thread over the per-worker-sharded
-  /// registry; nodes and workers record through relaxed atomics only, so
-  /// the sampler never touches thread-confined state.
+  /// runs a wall-clock sampler thread over the metrics registry, which
+  /// every node and worker records into on its own shard through relaxed
+  /// atomics, so the sampler never touches thread-confined state.
   TelemetryConfig telemetry;
 };
 
@@ -86,7 +83,7 @@ class ThreadNode : public NodeCore {
  public:
   ThreadNode(NodeId id, const ThreadClusterConfig& config,
              ThreadNetwork* network, Workload* workload,
-             SafetyMonitor* monitor, uint64_t seed);
+             SafetyMonitor* monitor, uint64_t seed, MetricsHandle metrics);
   ~ThreadNode() override;
 
   /// Wall-clock microseconds on the hosting worker's time axis.
@@ -134,8 +131,8 @@ class ThreadNode : public NodeCore {
   /// SendBatch.
   void FlushOutput();
 
-  /// Makes every staged WAL append durable as one group (timed into the
-  /// wal_flushes metrics when telemetry is on). Runs before any message
+  /// Makes every staged WAL append durable as one group (counted and timed
+  /// into the wal_flushes metrics). Runs before any message
   /// leaves: at the coalescing flush point, or per send when uncoalesced.
   void FlushWal();
 
@@ -194,8 +191,8 @@ class ThreadCluster {
   uint64_t TotalCommitted() const;
 
   /// Merges per-node stats into a ClusterStats for a window of
-  /// `duration_seconds`. Per-node counters are thread-confined, so call
-  /// only after Stop().
+  /// `duration_seconds`. The engine counters in them are thread-confined,
+  /// so call only after Stop().
   ClusterStats CollectStats(double duration_seconds) const;
 
   /// Per-worker event-loop counters (occupancy, mailbox/local message
@@ -212,34 +209,21 @@ class ThreadCluster {
   /// The time-series sampler, or nullptr when config.telemetry.enabled is
   /// false. Slices are safe to read after Stop() (the sampler thread is
   /// joined there, taking one final sample).
-  TelemetrySampler* telemetry() { return sampler_.get(); }
+  TelemetrySampler* telemetry() { return telemetry_.sampler(); }
 
  private:
-  /// Wall-clock microseconds since the cluster's telemetry epoch.
-  Micros TelemetryNowUs() const;
-
   ThreadClusterConfig config_;
   std::unique_ptr<ThreadNetwork> network_;
   std::unique_ptr<Workload> workload_;
   SafetyMonitor monitor_;  // guarded by monitor_mu_ inside nodes
+  // Node `id` records on shard `id`. Worker `w` hosts node `w` and records
+  // its loop counters on that node's shard: each shard keeps one writer.
+  Telemetry telemetry_;
   std::vector<std::unique_ptr<ThreadNode>> nodes_;
   // Declared after nodes_: workers are destroyed (joined) first, so no
   // worker thread can touch a node mid-destruction.
   std::vector<std::unique_ptr<ThreadWorker>> workers_;
   bool started_ = false;
-
-  // Telemetry (config_.telemetry.enabled): one registry shard per worker,
-  // sampled on wall time by a dedicated thread. The sampler thread only
-  // touches the registry's atomics and ThreadNetwork's atomic counters —
-  // never thread-confined node state.
-  MetricsRegistry metrics_registry_;
-  CoreMetrics core_metrics_;
-  std::unique_ptr<TelemetrySampler> sampler_;
-  std::thread sampler_thread_;
-  std::mutex sampler_mu_;
-  std::condition_variable sampler_cv_;
-  bool sampler_stop_ = false;  // guarded by sampler_mu_
-  std::chrono::steady_clock::time_point telemetry_epoch_;
 };
 
 }  // namespace ecdb

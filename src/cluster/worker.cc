@@ -21,8 +21,13 @@ uint64_t ElapsedUs(std::chrono::steady_clock::time_point from,
 }  // namespace
 
 ThreadWorker::ThreadWorker(uint32_t index, uint32_t stride,
-                           ThreadNetwork* network, bool coalesce)
-    : index_(index), stride_(stride), network_(network), coalesce_(coalesce) {}
+                           ThreadNetwork* network, bool coalesce,
+                           MetricsHandle metrics)
+    : index_(index),
+      stride_(stride),
+      network_(network),
+      coalesce_(coalesce),
+      metrics_(metrics) {}
 
 ThreadWorker::~ThreadWorker() { Stop(); }
 
@@ -34,7 +39,6 @@ void ThreadWorker::AddNode(ThreadNode* node) {
   ECDB_CHECK(node->self() / stride_ == nodes_.size());
   nodes_.push_back(node);
   node->BindHost(this);
-  stats_.nodes_hosted = static_cast<uint32_t>(nodes_.size());
 }
 
 void ThreadWorker::Start() {
@@ -59,20 +63,27 @@ Micros ThreadWorker::NowUs() const {
           .count());
 }
 
+WorkerStats ThreadWorker::stats() const {
+  WorkerStats s;
+  s.nodes_hosted = static_cast<uint32_t>(nodes_.size());
+  s.iterations = metrics_.Count(&CoreMetrics::worker_iterations);
+  s.mailbox_batches = metrics_.Count(&CoreMetrics::worker_mailbox_batches);
+  s.mailbox_messages = metrics_.Count(&CoreMetrics::worker_mailbox_msgs);
+  s.local_messages = metrics_.Count(&CoreMetrics::worker_local_msgs);
+  s.timers_fired = metrics_.Count(&CoreMetrics::worker_timers_fired);
+  s.max_batch = max_batch_;
+  s.busy_us = metrics_.Count(&CoreMetrics::worker_busy_us);
+  s.wall_us = wall_us_;
+  return s;
+}
+
 void ThreadWorker::EnqueueLocal(Message msg) {
-  stats_.local_messages++;
-  if (metrics_.on()) {
-    metrics_.registry->Add(metrics_.shard, metrics_.ids->worker_local_msgs);
-  }
+  metrics_.Add(&CoreMetrics::worker_local_msgs);
   local_queue_.push_back(std::move(msg));
 }
 
 void ThreadWorker::EnqueueLocalBatch(std::vector<Message>* msgs) {
-  stats_.local_messages += msgs->size();
-  if (metrics_.on()) {
-    metrics_.registry->Add(metrics_.shard, metrics_.ids->worker_local_msgs,
-                           msgs->size());
-  }
+  metrics_.Add(&CoreMetrics::worker_local_msgs, msgs->size());
   for (Message& m : *msgs) local_queue_.push_back(std::move(m));
   msgs->clear();
 }
@@ -97,10 +108,7 @@ void ThreadWorker::FireDueTimers() {
     // stale. Timers of co-hosted nodes pop normally around the stale ones.
     if (timer.epoch != node->timer_epoch()) continue;
     if (node->crashed()) continue;
-    stats_.timers_fired++;
-    if (metrics_.on()) {
-      metrics_.registry->Add(metrics_.shard, metrics_.ids->worker_timers_fired);
-    }
+    metrics_.Add(&CoreMetrics::worker_timers_fired);
     node->OnTimer(timer);
   }
 }
@@ -140,10 +148,7 @@ void ThreadWorker::Loop() {
   std::vector<Message> inbox;  // recycled: PopAll swaps its capacity in
   auto last_wake = epoch_start_;
   while (running_.load(std::memory_order_relaxed)) {
-    stats_.iterations++;
-    if (metrics_.on()) {
-      metrics_.registry->Add(metrics_.shard, metrics_.ids->worker_iterations);
-    }
+    metrics_.Add(&CoreMetrics::worker_iterations);
     for (ThreadNode* node : nodes_) node->ProcessControl();
 
     // Sleep no longer than the earliest timer deadline across all hosted
@@ -156,27 +161,24 @@ void ThreadWorker::Loop() {
       wait_us = deadline <= now ? 0 : std::min<Micros>(1000, deadline - now);
     }
     const auto before_wait = std::chrono::steady_clock::now();
-    stats_.busy_us += ElapsedUs(last_wake, before_wait);
+    metrics_.Add(&CoreMetrics::worker_busy_us,
+                 ElapsedUs(last_wake, before_wait));
     const bool got = network_->worker_channel(index_).PopAll(
         &inbox, std::chrono::microseconds(wait_us));
     last_wake = std::chrono::steady_clock::now();
     if (got) {
-      stats_.mailbox_batches++;
-      stats_.mailbox_messages += inbox.size();
-      stats_.max_batch = std::max<uint64_t>(stats_.max_batch, inbox.size());
-      if (metrics_.on()) {
-        metrics_.registry->Add(metrics_.shard,
-                               metrics_.ids->worker_mailbox_msgs,
-                               inbox.size());
-      }
+      metrics_.Add(&CoreMetrics::worker_mailbox_batches);
+      metrics_.Add(&CoreMetrics::worker_mailbox_msgs, inbox.size());
+      max_batch_ = std::max<uint64_t>(max_batch_, inbox.size());
       DispatchBatch(inbox);
     }
     FireDueTimers();
     FlushAll();
     DrainLocal();
   }
-  stats_.busy_us += ElapsedUs(last_wake, std::chrono::steady_clock::now());
-  stats_.wall_us = static_cast<uint64_t>(NowUs());
+  metrics_.Add(&CoreMetrics::worker_busy_us,
+               ElapsedUs(last_wake, std::chrono::steady_clock::now()));
+  wall_us_ = static_cast<uint64_t>(NowUs());
 }
 
 }  // namespace ecdb

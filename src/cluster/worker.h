@@ -152,8 +152,8 @@ class WorkerTimerHeap {
   std::vector<uint32_t> free_;
 };
 
-/// Per-worker event-loop counters. Owned by the worker thread while it
-/// runs; read them only after ThreadCluster::Stop().
+/// Per-worker event-loop counters: a view over the worker's registry shard
+/// (ThreadWorker::stats()). Read them only after ThreadCluster::Stop().
 struct WorkerStats {
   uint32_t nodes_hosted = 0;
   uint64_t iterations = 0;        ///< event-loop turns
@@ -184,8 +184,10 @@ struct WorkerStats {
 /// that node's old per-node mailbox.
 class ThreadWorker {
  public:
+  /// The worker records its event-loop counts through `metrics`: the
+  /// shard of a node it hosts, which has no other writer thread.
   ThreadWorker(uint32_t index, uint32_t stride, ThreadNetwork* network,
-               bool coalesce);
+               bool coalesce, MetricsHandle metrics);
   ~ThreadWorker();
 
   ThreadWorker(const ThreadWorker&) = delete;
@@ -223,12 +225,7 @@ class ThreadWorker {
   void EnqueueLocalBatch(std::vector<Message>* msgs);
 
   /// Read only after Stop().
-  const WorkerStats& stats() const { return stats_; }
-
-  /// Routes event-loop counters into the cluster registry; the handle's
-  /// shard is this worker's index, so record paths never share cells.
-  /// Must be called before Start().
-  void BindMetrics(const MetricsHandle& metrics) { metrics_ = metrics; }
+  WorkerStats stats() const;
 
  private:
   void Loop();
@@ -250,8 +247,9 @@ class ThreadWorker {
   std::thread thread_;
   std::atomic<bool> running_{false};
   std::chrono::steady_clock::time_point epoch_start_;
-  WorkerStats stats_;
   MetricsHandle metrics_;
+  uint64_t max_batch_ = 0;  // largest single mailbox drain
+  uint64_t wall_us_ = 0;    // total loop wall time, set when the loop exits
 };
 
 }  // namespace ecdb

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace ecdb {
 
@@ -60,6 +61,19 @@ void Histogram::Merge(const Histogram& other) {
 void Histogram::Clear() {
   std::fill(buckets_.begin(), buckets_.end(), 0);
   count_ = sum_ = min_ = max_ = 0;
+}
+
+Histogram Histogram::FromBuckets(std::vector<uint64_t> buckets, uint64_t sum,
+                                 uint64_t min, uint64_t max) {
+  Histogram h;
+  h.buckets_ = std::move(buckets);
+  for (uint64_t b : h.buckets_) h.count_ += b;
+  if (h.count_ > 0) {
+    h.sum_ = sum;
+    h.min_ = min;
+    h.max_ = max;
+  }
+  return h;
 }
 
 double Histogram::Mean() const {

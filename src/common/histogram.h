@@ -26,6 +26,14 @@ class Histogram {
   /// Removes all samples.
   void Clear();
 
+  /// Rebuilds a histogram from raw state in this bucket geometry: the
+  /// per-bucket counts (kNumBuckets of them), the sum of the samples and
+  /// their exact min and max (ignored when every bucket is empty). The
+  /// inverse of an aggregator that stores raw buckets, such as the
+  /// metrics registry.
+  static Histogram FromBuckets(std::vector<uint64_t> buckets, uint64_t sum,
+                               uint64_t min, uint64_t max);
+
   uint64_t count() const { return count_; }
   uint64_t min() const { return count_ == 0 ? 0 : min_; }
   uint64_t max() const { return max_; }

@@ -1,6 +1,7 @@
 #ifndef ECDB_OBS_METRICS_REGISTRY_H_
 #define ECDB_OBS_METRICS_REGISTRY_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -9,19 +10,14 @@
 
 #include "common/histogram.h"
 #include "common/types.h"
-
-// Compile-time kill switch mirroring ECDB_TRACE: -DECDB_TELEMETRY=OFF at
-// configure time builds the record path down to nothing (Add/Observe/Set
-// are empty inlines, enabled() is a constant false). Registration, the
-// sampler, and the exporters stay live so tools keep building.
-#ifndef ECDB_TELEMETRY_ENABLED
-#define ECDB_TELEMETRY_ENABLED 1
-#endif
+#include "stats/metrics.h"
 
 namespace ecdb {
 
-/// Runtime knob for the time-series telemetry subsystem. Off by default:
-/// benchmarks and tools opt in (e.g. `bench_open_loop --metrics-out`).
+/// Settings of the time-series sampler. The metrics registry records on
+/// every host whatever this says; `enabled` runs a sampler over it. Off by
+/// default: benchmarks and tools opt in (e.g. `bench_open_loop
+/// --metrics-out`).
 struct TelemetryConfig {
   bool enabled = false;
 
@@ -41,10 +37,10 @@ using CounterId = uint32_t;
 using GaugeId = uint32_t;
 using HistId = uint32_t;
 
-/// One cumulative view of every metric, aggregated over shards. Histogram
-/// state is raw geometric bucket counts (Histogram::BucketFor geometry) so
-/// the sampler can difference consecutive snapshots into per-interval
-/// distributions.
+/// One cumulative view of all shards (Snapshot) or of one (ShardSnapshot).
+/// Histogram state is raw bucket counts in Histogram's geometry, so two
+/// snapshots difference into an interval's distribution. An empty
+/// snapshot stands for "nothing recorded yet".
 struct MetricsSnapshot {
   std::vector<uint64_t> counters;
   std::vector<uint64_t> gauges;
@@ -53,21 +49,19 @@ struct MetricsSnapshot {
   std::vector<uint64_t> hist_sums;
 };
 
-/// A registry of typed counters/gauges/histograms with an allocation-free,
-/// per-worker-sharded record path.
+/// The one record path of every host: typed counters, gauges and
+/// histograms, allocation-free and sharded.
 ///
-/// Concurrency model: registration (Counter/Gauge/Hist/SetShards) happens
-/// single-threaded at setup time. Recording is then wait-free and
-/// TSan-clean — each call is one relaxed atomic RMW on the caller's shard,
-/// so worker threads never contend on a cache line as long as they use
-/// distinct shard indices. Snapshot() may run concurrently with recording
-/// (the sampler thread does); it reads with relaxed loads and therefore
-/// observes a slightly torn-in-time but per-cell-consistent view, which is
-/// exactly what a periodic sampler wants.
+/// Registration and Activate happen single-threaded at setup. Each shard
+/// then has one writer — the thread hosting the node that owns
+/// it — so a record is a relaxed load and store of that thread's own
+/// cells: no read-modify-write, no shared cache line. Reads (a sampler
+/// thread's Snapshot) use relaxed loads and see a torn-in-time but
+/// per-cell-consistent view. Gauges are global.
 ///
-/// The simulator uses one shard (single-threaded); the threaded runtime
-/// uses one shard per event-loop worker. Shard count is per *worker*, not
-/// per node, so memory stays flat at 10^4-node simulations.
+/// Each histogram also keeps the exact min and max of its shard's samples
+/// since ResetExtremes(shard), so a window read back as a Histogram clamps
+/// its percentiles like one recorded directly.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -89,9 +83,8 @@ class MetricsRegistry {
     return static_cast<HistId>(hist_names_.size() - 1);
   }
 
-  /// Allocates per-shard storage for everything registered so far and
-  /// turns recording on. Call once, after registration, before any worker
-  /// records. Gauges are global (not sharded): Set overwrites.
+  /// Allocates per-shard storage for everything registered so far. Call
+  /// once, after registration, before anything records.
   void Activate(uint32_t shards);
 
   const std::vector<std::string>& counter_names() const {
@@ -99,78 +92,85 @@ class MetricsRegistry {
   }
   const std::vector<std::string>& gauge_names() const { return gauge_names_; }
   const std::vector<std::string>& hist_names() const { return hist_names_; }
-  uint32_t shards() const { return num_shards_; }
 
-#if ECDB_TELEMETRY_ENABLED
-  /// True once Activate ran; the record-path guard the hosts branch on.
-  bool enabled() const { return enabled_; }
+  // --- Record path (the shard's one writer) ---
 
-  /// Record paths: one enabled branch + one relaxed atomic op, no
-  /// allocation. `shard` must be < shards().
   void Add(uint32_t shard, CounterId id, uint64_t delta = 1) {
-    if (!enabled_) return;
-    shard_counters_[shard * counter_stride_ + id].fetch_add(
-        delta, std::memory_order_relaxed);
+    Bump(counters_[shard * counter_names_.size() + id], delta);
   }
   void Set(GaugeId id, uint64_t value) {
-    if (!enabled_) return;
     gauges_[id].store(value, std::memory_order_relaxed);
   }
   void Observe(uint32_t shard, HistId id, uint64_t value) {
-    if (!enabled_) return;
-    HistShard& h =
-        hist_shards_[shard * static_cast<size_t>(hist_names_.size()) + id];
-    h.buckets[Histogram::BucketFor(value)].fetch_add(
-        1, std::memory_order_relaxed);
-    h.count.fetch_add(1, std::memory_order_relaxed);
-    h.sum.fetch_add(value, std::memory_order_relaxed);
+    std::atomic<uint64_t>* h = HistCells(shard, id);
+    Bump(h[Histogram::BucketFor(value)], 1);
+    Bump(h[kCountCell], 1);
+    Bump(h[kSumCell], value);
+    if (value < h[kMinCell].load(std::memory_order_relaxed)) {
+      h[kMinCell].store(value, std::memory_order_relaxed);
+    }
+    if (value > h[kMaxCell].load(std::memory_order_relaxed)) {
+      h[kMaxCell].store(value, std::memory_order_relaxed);
+    }
   }
-#else
-  // Kill-switch build: the record path compiles to nothing. Activate()
-  // stays callable so host code needs no #ifs, but recording is inert and
-  // Snapshot() reports zeros.
-  bool enabled() const { return false; }
-  void Add(uint32_t, CounterId, uint64_t = 1) {}
-  void Set(GaugeId, uint64_t) {}
-  void Observe(uint32_t, HistId, uint64_t) {}
-#endif
 
-  /// Aggregates all shards into one cumulative snapshot. Safe to call
-  /// concurrently with recording (relaxed reads).
+  /// Restarts every histogram's min/max tracking on `shard` (a window
+  /// mark). Call from the shard's writer.
+  void ResetExtremes(uint32_t shard);
+
+  // --- Reads (any thread) ---
+
+  /// One shard's cumulative count of counter `id`.
+  uint64_t Count(uint32_t shard, CounterId id) const {
+    return counters_[shard * counter_names_.size() + id].load(
+        std::memory_order_relaxed);
+  }
+
+  /// Aggregates all shards into one cumulative snapshot.
   MetricsSnapshot Snapshot() const;
 
+  /// One shard's cumulative counters and histograms (no gauges).
+  MetricsSnapshot ShardSnapshot(uint32_t shard) const;
+
+  /// Histogram `id` as recorded on `shard` since `base` (a ShardSnapshot of
+  /// the same shard, or an empty snapshot for "since Activate"), with the
+  /// exact min and max since the shard's last ResetExtremes.
+  Histogram ShardHistogram(uint32_t shard, HistId id,
+                           const MetricsSnapshot& base) const;
+
  private:
-#if ECDB_TELEMETRY_ENABLED
-  /// Per-(shard, histogram) storage: geometric buckets in Histogram's
-  /// bucket geometry plus running count/sum. ~4 KiB per histogram per
-  /// shard; shard count is the worker count, so this stays small.
-  struct HistShard {
-    std::unique_ptr<std::atomic<uint64_t>[]> buckets;
-    std::atomic<uint64_t> count{0};
-    std::atomic<uint64_t> sum{0};
-  };
-#endif
+  // Per-(shard, histogram) cells: the geometric buckets, then count, sum,
+  // min and max.
+  static constexpr size_t kCountCell = Histogram::kNumBuckets;
+  static constexpr size_t kSumCell = kCountCell + 1;
+  static constexpr size_t kMinCell = kCountCell + 2;
+  static constexpr size_t kMaxCell = kCountCell + 3;
+  static constexpr size_t kHistCells = kCountCell + 4;
+
+  static void Bump(std::atomic<uint64_t>& cell, uint64_t delta) {
+    cell.store(cell.load(std::memory_order_relaxed) + delta,
+               std::memory_order_relaxed);
+  }
+  std::atomic<uint64_t>* HistCells(uint32_t shard, HistId id) const {
+    return &hists_[(shard * hist_names_.size() + id) * kHistCells];
+  }
+  MetricsSnapshot ZeroSnapshot() const;
+  void AddShard(uint32_t shard, MetricsSnapshot* snap) const;
 
   std::vector<std::string> counter_names_;
   std::vector<std::string> gauge_names_;
   std::vector<std::string> hist_names_;
   uint32_t num_shards_ = 0;
 
-#if ECDB_TELEMETRY_ENABLED
-  bool enabled_ = false;
-  size_t counter_stride_ = 0;  // == counter_names_.size() at Activate time
-  std::unique_ptr<std::atomic<uint64_t>[]> shard_counters_;
+  std::unique_ptr<std::atomic<uint64_t>[]> counters_;  // [shard][counter]
   std::unique_ptr<std::atomic<uint64_t>[]> gauges_;
-  std::vector<HistShard> hist_shards_;
-#endif
+  std::unique_ptr<std::atomic<uint64_t>[]> hists_;  // [shard][hist][cell]
 };
 
-/// The conventional metric set both runtimes expose: registered once by
-/// the owning cluster so the sampler's export schema is identical across
-/// the simulator and the threaded runtime. Counters are recorded on the
-/// hot paths (sharded per worker); gauges are polled cumulatively from
-/// single-writer sources (network stats, trace-ring drops) by the
-/// sampler's poll hook just before each snapshot.
+/// The metric set every host records, registered by its Telemetry so the
+/// export schema is the same on all of them. Nodes and workers record on
+/// their own shards; gauges are polled from cumulative sources (network
+/// stats, trace-ring drops) just before each sample.
 struct CoreMetrics {
   CounterId txns_committed = 0;
   CounterId txns_aborted = 0;        // aborted attempts (may retry)
@@ -183,17 +183,22 @@ struct CoreMetrics {
   CounterId worker_mailbox_msgs = 0;
   CounterId worker_local_msgs = 0;
   CounterId worker_timers_fired = 0;
+  CounterId txns_blocked = 0;
+  CounterId commit_protocol_runs = 0;
+  /// Worker microseconds per Figure 12 category; kIdle has no counter
+  /// (idle is derived from a window's capacity).
+  std::array<CounterId, kNumTimeCategories> time_us{};
+  CounterId worker_mailbox_batches = 0;
+  CounterId worker_busy_us = 0;      // event-loop time outside the wait
 
   GaugeId net_messages_sent = 0;
   GaugeId net_messages_delivered = 0;
   GaugeId net_messages_dropped = 0;
   GaugeId net_bytes_sent = 0;
-  GaugeId trace_events_dropped = 0;  // trace ring overwrites (satellite)
+  GaugeId trace_events_dropped = 0;  // trace ring overwrites
   GaugeId clients_in_flight = 0;
 
-  // Socket-runtime transport (zero outside the multi-process backend).
-  // Cumulative values owned by the I/O thread's atomics, copied in via the
-  // poll hook like the net_* gauges above.
+  // Socket-runtime transport (zero elsewhere), polled like net_*.
   GaugeId sock_bytes_in = 0;
   GaugeId sock_bytes_out = 0;
   GaugeId sock_writev_calls = 0;
@@ -203,27 +208,30 @@ struct CoreMetrics {
 
   HistId latency_us = 0;       // end-to-end committed-txn latency
   HistId wal_flush_us = 0;     // device round-trip per group flush
+  /// Commit-protocol phase latencies (see CommitPhase).
+  HistId phase_vote_us = 0;
+  HistId phase_transmit_us = 0;
+  HistId phase_apply_us = 0;
 };
 
 /// Registers the CoreMetrics set in declaration order (stable export
 /// schema) and returns the handles.
 CoreMetrics RegisterCoreMetrics(MetricsRegistry* registry);
 
-/// Pointer-plus-shard handle a node or worker records through. A default
-/// constructed handle (null registry) means telemetry is off for this
-/// host; record sites guard with `if (metrics.on())` so the disabled path
-/// is one predictable branch.
+/// Where a node or worker records: its host's registry and its shard.
 struct MetricsHandle {
   MetricsRegistry* registry = nullptr;
   const CoreMetrics* ids = nullptr;
   uint32_t shard = 0;
 
-  bool on() const {
-#if ECDB_TELEMETRY_ENABLED
-    return registry != nullptr && registry->enabled();
-#else
-    return false;
-#endif
+  void Add(CounterId CoreMetrics::*counter, uint64_t delta = 1) const {
+    registry->Add(shard, ids->*counter, delta);
+  }
+  void Observe(HistId CoreMetrics::*hist, uint64_t value) const {
+    registry->Observe(shard, ids->*hist, value);
+  }
+  uint64_t Count(CounterId CoreMetrics::*counter) const {
+    return registry->Count(shard, ids->*counter);
   }
 };
 

@@ -5,35 +5,87 @@
 #include <fstream>
 #include <ostream>
 
+#include "net/network.h"
+
 namespace ecdb {
+
+Telemetry::Telemetry(const TelemetryConfig& config, uint32_t shards)
+    : config_(config), ids_(RegisterCoreMetrics(&registry_)) {
+  registry_.Activate(shards);
+  if (config_.enabled) {
+    sampler_ = std::make_unique<TelemetrySampler>(&registry_, config_);
+  }
+}
+
+Telemetry::~Telemetry() { StopSamplerThread(); }
+
+void Telemetry::SetPoll(std::function<void()> poll) {
+  if (sampler_ != nullptr) sampler_->SetPollHook(std::move(poll));
+}
+
+void Telemetry::SetNetworkGauges(const NetworkStats& stats) {
+  registry_.Set(ids_.net_messages_sent, stats.messages_sent);
+  registry_.Set(ids_.net_messages_delivered, stats.messages_delivered);
+  registry_.Set(ids_.net_messages_dropped, stats.messages_dropped);
+  registry_.Set(ids_.net_bytes_sent, stats.bytes_sent);
+}
+
+Micros Telemetry::WallNowUs() const {
+  return static_cast<Micros>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - epoch_)
+          .count());
+}
+
+void Telemetry::StartSamplerThread() {
+  if (sampler_ == nullptr || thread_.joinable()) return;
+  epoch_ = std::chrono::steady_clock::now();
+  sampler_->Reset(0);
+  thread_ = std::thread([this] {
+    const auto interval =
+        std::chrono::microseconds(config_.sample_interval_us);
+    std::unique_lock<std::mutex> lock(mu_);
+    while (!stop_) {
+      cv_.wait_for(lock, interval);
+      if (stop_) break;
+      sampler_->Sample(WallNowUs());
+    }
+  });
+}
+
+void Telemetry::StopSamplerThread(const std::function<void()>& final_poll) {
+  if (!thread_.joinable()) return;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
+  }
+  cv_.notify_all();
+  thread_.join();
+  if (final_poll) final_poll();
+  sampler_->Sample(WallNowUs());
+}
 
 void TelemetrySampler::Reset(Micros now_us) {
   if (poll_) poll_();
   last_ = registry_->Snapshot();
   last_at_us_ = now_us;
-  have_baseline_ = true;
   slices_.clear();
   slices_dropped_ = 0;
 }
 
 void TelemetrySampler::Sample(Micros now_us) {
-  if (!have_baseline_) {
-    Reset(now_us);
-    return;
-  }
   if (poll_) poll_();
   MetricsSnapshot cur = registry_->Snapshot();
 
   Timeslice slice;
   slice.start_us = last_at_us_;
   slice.end_us = now_us;
+  // Every cell has one writer and only grows, and this thread's relaxed
+  // loads of a cell never go back in its modification order: each
+  // difference below is non-negative.
   slice.counters.resize(cur.counters.size());
   for (size_t i = 0; i < cur.counters.size(); ++i) {
-    // Counters are monotone; guard the subtraction anyway so a torn
-    // concurrent read can never wrap to 2^64.
-    slice.counters[i] = cur.counters[i] >= last_.counters[i]
-                            ? cur.counters[i] - last_.counters[i]
-                            : 0;
+    slice.counters[i] = cur.counters[i] - last_.counters[i];
   }
   slice.gauges = cur.gauges;
   slice.hists.resize(cur.hist_buckets.size());
@@ -41,16 +93,11 @@ void TelemetrySampler::Sample(Micros now_us) {
   for (size_t h = 0; h < cur.hist_buckets.size(); ++h) {
     uint64_t count = 0;
     for (size_t b = 0; b < Histogram::kNumBuckets; ++b) {
-      const uint64_t d = cur.hist_buckets[h][b] >= last_.hist_buckets[h][b]
-                             ? cur.hist_buckets[h][b] - last_.hist_buckets[h][b]
-                             : 0;
-      delta[b] = d;
-      count += d;
+      delta[b] = cur.hist_buckets[h][b] - last_.hist_buckets[h][b];
+      count += delta[b];
     }
-    const uint64_t sum = cur.hist_sums[h] >= last_.hist_sums[h]
-                             ? cur.hist_sums[h] - last_.hist_sums[h]
-                             : 0;
-    slice.hists[h] = SummarizeBuckets(delta, count, sum);
+    slice.hists[h] = SummarizeBuckets(delta, count,
+                                      cur.hist_sums[h] - last_.hist_sums[h]);
   }
 
   slices_.push_back(std::move(slice));

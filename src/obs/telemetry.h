@@ -1,10 +1,15 @@
 #ifndef ECDB_OBS_TELEMETRY_H_
 #define ECDB_OBS_TELEMETRY_H_
 
+#include <chrono>
+#include <condition_variable>
 #include <deque>
 #include <functional>
 #include <iosfwd>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/types.h"
@@ -43,8 +48,8 @@ struct Timeslice {
 /// Driving model: the sampler itself has no clock and no thread — the host
 /// runtime calls Sample(now) on its own cadence. SimCluster drives it from
 /// a scheduler event chain (virtual time: two identically-seeded runs
-/// produce byte-identical exports), ThreadCluster from a dedicated wall
-/// clock sampler thread. All sampler state is therefore single-writer; the
+/// produce byte-identical exports), the wall-clock hosts from Telemetry's
+/// sampler thread. All sampler state is therefore single-writer; the
 /// only cross-thread traffic is the registry's relaxed atomics and
 /// whatever the poll hook reads (which must itself be atomic or otherwise
 /// safe — ThreadNetwork's counters are).
@@ -61,7 +66,7 @@ class TelemetrySampler {
   void SetPollHook(std::function<void()> hook) { poll_ = std::move(hook); }
 
   /// Takes the baseline snapshot at `now_us` and clears any prior slices.
-  /// Call once when measurement starts, before the first Sample().
+  /// Call once when measurement starts: Sample() requires a baseline.
   void Reset(Micros now_us);
 
   /// Closes the interval [prev, now_us): runs the poll hook, snapshots the
@@ -71,12 +76,7 @@ class TelemetrySampler {
 
   const std::deque<Timeslice>& slices() const { return slices_; }
   uint64_t slices_dropped() const { return slices_dropped_; }
-  const TelemetryConfig& config() const { return config_; }
   const MetricsRegistry* registry() const { return registry_; }
-
-  /// Cumulative snapshot as of the last Sample()/Reset() — what the
-  /// Prometheus exposition reports.
-  const MetricsSnapshot& cumulative() const { return last_; }
 
   /// JSONL time-series: one meta line naming every metric in order, then
   /// one fixed-key-order object per timeslice. Byte-deterministic for a
@@ -106,9 +106,59 @@ class TelemetrySampler {
 
   MetricsSnapshot last_;
   Micros last_at_us_ = 0;
-  bool have_baseline_ = false;
   std::deque<Timeslice> slices_;
   uint64_t slices_dropped_ = 0;
+};
+
+struct NetworkStats;
+
+/// A host's metrics, one owner for all three hosts: the always-on registry
+/// with the CoreMetrics schema and one shard per node, plus —
+/// with config.enabled — the sampler. Wall-clock hosts drive it with the
+/// sampler thread below; the simulator samples from scheduler events.
+class Telemetry {
+ public:
+  Telemetry(const TelemetryConfig& config, uint32_t shards);
+  ~Telemetry();
+
+  MetricsRegistry& registry() { return registry_; }
+  const CoreMetrics& ids() const { return ids_; }
+
+  MetricsHandle Shard(uint32_t shard) {
+    return MetricsHandle{&registry_, &ids_, shard};
+  }
+
+  /// The sampler, or nullptr when config.enabled is false.
+  TelemetrySampler* sampler() { return sampler_.get(); }
+
+  /// Copies sources into gauges before every sample, on the sampling
+  /// thread: on wall-clock hosts it may read only atomics.
+  void SetPoll(std::function<void()> poll);
+
+  /// The poll every host has: network counters into the net_* gauges.
+  void SetNetworkGauges(const NetworkStats& stats);
+
+  /// Starts a thread sampling every config.sample_interval_us of wall
+  /// time. No-op without a sampler.
+  void StartSamplerThread();
+
+  /// Joins the thread, runs `final_poll` (sources that are safe to read
+  /// once the host's workers stopped) and takes one last sample.
+  void StopSamplerThread(const std::function<void()>& final_poll = {});
+
+ private:
+  Micros WallNowUs() const;
+
+  TelemetryConfig config_;
+  MetricsRegistry registry_;
+  CoreMetrics ids_;
+  std::unique_ptr<TelemetrySampler> sampler_;
+
+  std::thread thread_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool stop_ = false;  // guarded by mu_
+  std::chrono::steady_clock::time_point epoch_;
 };
 
 }  // namespace ecdb

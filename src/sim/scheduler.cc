@@ -110,25 +110,27 @@ bool Scheduler::StageNext() {
                 [](const Entry& a, const Entry& b) { return a.seq < b.seq; });
       return true;
     }
-    // Cascade: advance the anchor to the bucket's earliest live timestamp
-    // and re-route. The minimum lands in level 0; every other entry agrees
-    // with the new anchor through bit field `level`, so it routes strictly
-    // lower — the loop terminates.
-    wheel_scratch_.swap(bucket);
-    size_t live = 0;
-    for (const Entry& e : wheel_scratch_) {
-      if (LiveEntry(e)) wheel_scratch_[live++] = e;
+    // Cascade in place: advance the anchor to the bucket's earliest live
+    // timestamp, then re-route the live entries. Every entry agrees with
+    // the new anchor through bit field `level`, so it routes strictly lower
+    // (the minimum lands in level 0): the bucket is never appended to while
+    // it is read, and the loop terminates. Routing in place, rather than
+    // through a swapped scratch vector, keeps each bucket's capacity its
+    // own.
+    Micros min_when = 0;
+    bool any_live = false;
+    for (const Entry& e : bucket) {
+      if (!LiveEntry(e)) continue;
+      min_when = any_live ? std::min(min_when, e.when) : e.when;
+      any_live = true;
     }
-    wheel_scratch_.resize(live);
-    if (!wheel_scratch_.empty()) {
-      Micros min_when = wheel_scratch_[0].when;
-      for (const Entry& e : wheel_scratch_) {
-        min_when = std::min(min_when, e.when);
-      }
+    if (any_live) {
       wheel_cur_ = min_when;
-      for (const Entry& e : wheel_scratch_) WheelRoute(e);
+      for (const Entry& e : bucket) {
+        if (LiveEntry(e)) WheelRoute(e);
+      }
     }
-    wheel_scratch_.clear();
+    bucket.clear();
   }
 }
 

@@ -43,25 +43,6 @@ void NodeStats::Merge(const NodeStats& other) {
   phase_apply.Merge(other.phase_apply);
 }
 
-void NodeStats::Clear() {
-  txns_committed = 0;
-  txns_aborted = 0;
-  txns_blocked = 0;
-  commit_protocol_runs = 0;
-  termination_rounds = 0;
-  acceptor_rounds = 0;
-  ballots_promoted = 0;
-  quorum_lost_rounds = 0;
-  open_loop_offered = 0;
-  open_loop_rejected = 0;
-  open_loop_aborted = 0;
-  time_us.fill(0);
-  latency.Clear();
-  phase_vote.Clear();
-  phase_transmit.Clear();
-  phase_apply.Clear();
-}
-
 double ClusterStats::TimeFraction(TimeCategory category) const {
   uint64_t sum = 0;
   for (size_t i = 0; i < kNumTimeCategories; ++i) sum += total.time_us[i];

@@ -27,7 +27,8 @@ inline constexpr size_t kNumTimeCategories = 7;
 /// Returns the paper's label, e.g. "Useful Work".
 std::string ToString(TimeCategory category);
 
-/// Per-node counters for one measurement window.
+/// Per-node counters for one measurement window, read back from the metrics
+/// registry and the commit engines (NodeCore::stats()).
 struct NodeStats {
   uint64_t txns_committed = 0;
   uint64_t txns_aborted = 0;   // aborted attempts (restarted later)
@@ -82,7 +83,6 @@ struct NodeStats {
   }
 
   void Merge(const NodeStats& other);
-  void Clear();
 };
 
 /// Cluster-level result of a benchmark window.
@@ -106,8 +106,8 @@ struct ClusterStats {
   /// already decided locally (EC's O(n^2) redundancy; counted regardless
   /// of the knob). `wal_group_flushes` counts WAL flushes that covered
   /// pending records — each one stands in for the per-append syncs group
-  /// commit amortized away. Engine-derived counters reset when a crash
-  /// recreates a node's engine, like termination_rounds.
+  /// commit amortized away. Engine-derived counters cover every engine a
+  /// node ran, including those its crashes replaced.
   uint64_t net_frames_sent = 0;
   uint64_t net_messages_coalesced = 0;
   uint64_t duplicate_decisions_suppressed = 0;

@@ -316,6 +316,30 @@ TEST(HistogramTest, ClearResets) {
   EXPECT_EQ(h.Percentile(0.99), 0u);
 }
 
+TEST(HistogramTest, FromBucketsMatchesRecorded) {
+  Histogram recorded;
+  std::vector<uint64_t> buckets(Histogram::kNumBuckets, 0);
+  uint64_t sum = 0;
+  for (uint64_t v : {3u, 70u, 71u, 1'000u, 12'345u}) {
+    recorded.Record(v);
+    buckets[Histogram::BucketFor(v)]++;
+    sum += v;
+  }
+  const Histogram rebuilt = Histogram::FromBuckets(buckets, sum, 3, 12'345);
+  EXPECT_EQ(rebuilt.count(), recorded.count());
+  EXPECT_EQ(rebuilt.min(), recorded.min());
+  EXPECT_EQ(rebuilt.max(), recorded.max());
+  EXPECT_DOUBLE_EQ(rebuilt.Mean(), recorded.Mean());
+  for (double q : {0.0, 0.5, 0.99, 1.0}) {
+    EXPECT_EQ(rebuilt.Percentile(q), recorded.Percentile(q)) << "q=" << q;
+  }
+  // No samples: the extremes are ignored.
+  const Histogram empty = Histogram::FromBuckets(
+      std::vector<uint64_t>(Histogram::kNumBuckets, 0), 0, 99, 99);
+  EXPECT_EQ(empty.count(), 0u);
+  EXPECT_EQ(empty.max(), 0u);
+}
+
 TEST(HistogramTest, QuantileClamping) {
   Histogram h;
   h.Record(42);

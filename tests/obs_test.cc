@@ -29,18 +29,6 @@ namespace {
 // MetricsRegistry
 // --------------------------------------------------------------------------
 
-TEST(MetricsRegistryTest, InertBeforeActivate) {
-  MetricsRegistry reg;
-  const CounterId c = reg.Counter("c");
-  EXPECT_FALSE(reg.enabled());
-  reg.Add(0, c, 5);  // must be a no-op, not a crash
-  const MetricsSnapshot snap = reg.Snapshot();
-  ASSERT_EQ(snap.counters.size(), 1u);
-  EXPECT_EQ(snap.counters[0], 0u);
-}
-
-#if ECDB_TELEMETRY_ENABLED
-
 TEST(MetricsRegistryTest, ShardsMergeIntoSnapshot) {
   MetricsRegistry reg;
   const CounterId c0 = reg.Counter("alpha");
@@ -48,7 +36,6 @@ TEST(MetricsRegistryTest, ShardsMergeIntoSnapshot) {
   const GaugeId g = reg.Gauge("gamma");
   const HistId h = reg.Hist("delta");
   reg.Activate(3);
-  ASSERT_TRUE(reg.enabled());
 
   reg.Add(0, c0, 1);
   reg.Add(1, c0, 10);
@@ -69,6 +56,30 @@ TEST(MetricsRegistryTest, ShardsMergeIntoSnapshot) {
   uint64_t bucket_total = 0;
   for (uint64_t b : snap.hist_buckets[h]) bucket_total += b;
   EXPECT_EQ(bucket_total, 3u);
+}
+
+// A window read back from one shard: counts, buckets and sums less the
+// baseline, extremes exact since the mark.
+TEST(MetricsRegistryTest, ShardHistogramIsTheWindowSinceTheMark) {
+  MetricsRegistry reg;
+  const HistId h = reg.Hist("lat");
+  reg.Activate(2);
+  reg.Observe(0, h, 5);
+  reg.Observe(0, h, 9'000);
+  reg.Observe(1, h, 1);  // another shard: not part of shard 0's view
+  const MetricsSnapshot base = reg.ShardSnapshot(0);
+  reg.ResetExtremes(0);
+  reg.Observe(0, h, 40);
+  reg.Observe(0, h, 300);
+
+  const Histogram window = reg.ShardHistogram(0, h, base);
+  EXPECT_EQ(window.count(), 2u);
+  EXPECT_EQ(window.min(), 40u);
+  EXPECT_EQ(window.max(), 300u);
+  EXPECT_DOUBLE_EQ(window.Mean(), 170.0);
+  const Histogram all = reg.ShardHistogram(0, h, MetricsSnapshot{});
+  EXPECT_EQ(all.count(), 4u);
+  EXPECT_EQ(reg.Snapshot().hist_counts[h], 5u);
 }
 
 // The TSan target: workers hammer their own shards while a sampler thread
@@ -265,21 +276,6 @@ TEST(SimTelemetryTest, CommittedCounterSumMatchesClusterStats) {
   EXPECT_EQ(committed_in_slices, stats.total.txns_committed);
   EXPECT_GT(committed_in_slices, 0u);
 }
-
-#else  // !ECDB_TELEMETRY_ENABLED
-
-TEST(MetricsRegistryTest, KillSwitchRecordPathIsInert) {
-  MetricsRegistry reg;
-  const CounterId c = reg.Counter("c");
-  reg.Activate(2);
-  EXPECT_FALSE(reg.enabled());
-  reg.Add(0, c, 100);
-  EXPECT_EQ(reg.Snapshot().counters[c], 0u);
-  MetricsHandle handle{&reg, nullptr, 0};
-  EXPECT_FALSE(handle.on());
-}
-
-#endif  // ECDB_TELEMETRY_ENABLED
 
 // --------------------------------------------------------------------------
 // Critical-path analyzer

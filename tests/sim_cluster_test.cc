@@ -328,5 +328,59 @@ TEST(SimClusterFailureTest, ClusterKeepsCommittingAfterRecovery) {
   EXPECT_TRUE(cluster.monitor().Violations().empty());
 }
 
+// A node's stats carry the termination rounds its engine initiated. With
+// one node crashed under load, the survivors run the termination protocol
+// for the transactions it left in flight.
+TEST(SimClusterFailureTest, SurvivorStatsCountTerminationRounds) {
+  ClusterConfig cfg = SmallCluster(CommitProtocol::kEasyCommit);
+  cfg.commit.keep_decision_ledger = true;
+  SimCluster cluster(cfg, std::make_unique<YcsbWorkload>(SmallYcsb(4)));
+  cluster.Start();
+  cluster.RunFor(0.2);
+  cluster.BeginMeasurement();
+  cluster.CrashNode(0);
+  cluster.RunFor(0.3);
+  uint64_t survivor_rounds = 0;
+  for (NodeId id = 1; id < 4; ++id) {
+    survivor_rounds += cluster.node(id).stats().termination_rounds;
+  }
+  EXPECT_GT(survivor_rounds, 0u);
+  EXPECT_EQ(cluster.CollectStats(0.3).total.termination_rounds,
+            survivor_rounds + cluster.node(0).stats().termination_rounds);
+  EXPECT_TRUE(cluster.monitor().Violations().empty());
+}
+
+// A crash replaces the node's commit engine, and with it the engine's own
+// counters; the node keeps their totals, so its window never shrinks.
+TEST(SimClusterFailureTest, NodeCountersSurviveItsOwnCrash) {
+  ClusterConfig cfg = SmallCluster(CommitProtocol::kEasyCommit);
+  cfg.commit.keep_decision_ledger = true;
+  SimCluster cluster(cfg, std::make_unique<YcsbWorkload>(SmallYcsb(4)));
+  cluster.Start();
+  cluster.RunFor(0.2);
+  cluster.BeginMeasurement();
+  cluster.CrashNode(0);
+  cluster.RunFor(0.3);
+  // The survivor that initiated the most termination rounds crashes next.
+  NodeId survivor = 1;
+  for (NodeId id = 2; id < 4; ++id) {
+    if (cluster.node(id).stats().termination_rounds >
+        cluster.node(survivor).stats().termination_rounds) {
+      survivor = id;
+    }
+  }
+  const NodeStats before = cluster.node(survivor).stats();
+  ASSERT_GT(before.termination_rounds, 0u);
+  cluster.CrashNode(survivor);
+  cluster.RunFor(0.1);
+  cluster.RecoverNode(survivor);
+  cluster.RunFor(0.2);
+  const NodeStats after = cluster.node(survivor).stats();
+  EXPECT_GE(after.termination_rounds, before.termination_rounds);
+  EXPECT_GE(after.txns_committed, before.txns_committed);
+  EXPECT_GE(after.latency.count(), before.latency.count());
+  EXPECT_TRUE(cluster.monitor().Violations().empty());
+}
+
 }  // namespace
 }  // namespace ecdb

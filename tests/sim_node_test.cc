@@ -69,9 +69,10 @@ TEST(SimNodeTest, WaitDieAbortsLessThanNoWaitUnderContention) {
 // sends, so a test can hand one participant messages in a chosen order.
 class RecordingHost : public NodeCore {
  public:
-  RecordingHost(NodeId id, const Params& params, Workload* workload)
+  RecordingHost(NodeId id, const Params& params, Workload* workload,
+                MetricsHandle metrics)
       : NodeCore(id, params, std::make_unique<MemoryWal>(), workload,
-                 /*monitor=*/nullptr, /*seed=*/1) {}
+                 /*monitor=*/nullptr, /*seed=*/1, metrics) {}
   Micros NowUs() const override { return 0; }
   using NodeCore::CancelTimer;
 
@@ -98,11 +99,12 @@ TEST(SimNodeTest, RollbackOfWaitDieSuspendedExecIsConsumed) {
   ClusterConfig cfg = BaseConfig();
   cfg.cc_policy = CcPolicy::kWaitDie;
   YcsbWorkload ycsb(BaseYcsb());
+  Telemetry telemetry(TelemetryConfig{}, /*shards=*/1);
   RecordingHost node(
       1,
       NodeCore::Params::From(cfg, cfg.exec_timeout_us,
                              /*release_locks_at_decision=*/false),
-      &ycsb);
+      &ycsb, telemetry.Shard(0));
   node.Bootstrap();
   const Operation write{YcsbWorkload::kTableId, ycsb.EncodeKey(1, 0),
                         AccessMode::kWrite};

@@ -98,17 +98,6 @@ TEST(NodeStatsTest, MergeCombinesEverything) {
   EXPECT_EQ(a.latency.count(), 2u);
 }
 
-TEST(NodeStatsTest, ClearResets) {
-  NodeStats stats;
-  stats.txns_committed = 3;
-  stats.AddTime(TimeCategory::kAbort, 9);
-  stats.latency.Record(1);
-  stats.Clear();
-  EXPECT_EQ(stats.txns_committed, 0u);
-  EXPECT_EQ(stats.TimeIn(TimeCategory::kAbort), 0u);
-  EXPECT_EQ(stats.latency.count(), 0u);
-}
-
 TEST(ClusterStatsTest, Throughput) {
   ClusterStats stats;
   stats.total.txns_committed = 5000;
