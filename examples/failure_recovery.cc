@@ -17,10 +17,12 @@
 // node and checks atomicity, durability and liveness. Same seed, same
 // timeline, same verdict, every time.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "chaos/campaign.h"
 #include "chaos/fault_plan.h"
@@ -129,9 +131,18 @@ void ShowIndependentRecovery() {
   wal.Append({0, 3, LogRecordType::kCommitReceived, {0, 1, 2}});
   wal.Append({0, 4, LogRecordType::kAbortDecision, {1, 0, 2}});
 
-  for (TxnId txn : RecoveryManager::InFlightTxns(wal)) {
+  // The same pass a recovering node runs; the map is keyed by TxnId, so
+  // print in id order.
+  const WalSummary log = RecoveryManager::ScanWal(wal, /*self=*/0);
+  std::vector<TxnId> in_flight;
+  for (const auto& [txn, t] : log.txns) {
+    if (t.in_flight()) in_flight.push_back(txn);
+  }
+  std::sort(in_flight.begin(), in_flight.end());
+  for (TxnId txn : in_flight) {
+    const LogRecord& milestone = *log.txns.at(txn).milestone;
     const char* action = "?";
-    switch (RecoveryManager::Analyze(wal, txn)) {
+    switch (RecoveryManager::AnalyzeRecord(milestone)) {
       case RecoveryAction::kAbort:
         action = "abort independently";
         break;
@@ -144,7 +155,7 @@ void ShowIndependentRecovery() {
     }
     std::printf("  txn %llu: last entry '%s' -> %s\n",
                 static_cast<unsigned long long>(txn),
-                ToString(wal.LastFor(txn)->type).c_str(), action);
+                ToString(milestone.type).c_str(), action);
   }
 }
 

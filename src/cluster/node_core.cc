@@ -1,7 +1,6 @@
 #include "cluster/node_core.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 
 #include "commit/quorum.h"
@@ -793,76 +792,17 @@ void NodeCore::Recover() {
   }
 }
 
-namespace {
-
-/// What one pass over the WAL learns about one transaction.
-struct TxnLogSummary {
-  LogRecordType last_type = LogRecordType::kBeginCommit;
-  /// Last protocol milestone: the last record that is not a quorum
-  /// snapshot (kQuorumState / kPaxosState carry epochs, not progress).
-  const LogRecord* milestone = nullptr;
-  /// First begin-commit/ready record carrying a membership list.
-  const LogRecord* members = nullptr;
-  /// Last snapshot of each kind: promises and accepts only move forward.
-  const LogRecord* quorum = nullptr;
-  const LogRecord* paxos = nullptr;
-};
-
-bool LoggedDecision(LogRecordType type, Decision* decision) {
-  switch (type) {
-    case LogRecordType::kCommitDecision:
-    case LogRecordType::kCommitReceived:
-    case LogRecordType::kTransactionCommit:
-      *decision = Decision::kCommit;
-      return true;
-    case LogRecordType::kAbortDecision:
-    case LogRecordType::kAbortReceived:
-    case LogRecordType::kTransactionAbort:
-      *decision = Decision::kAbort;
-      return true;
-    default:
-      return false;
-  }
-}
-
-}  // namespace
-
 void NodeCore::RecoverFromWal() {
-  // One Scan() copies the log once; the summaries point into the copy,
-  // which outlives them. The map visits transactions in the order
-  // RecoveryManager::InFlightTxns does (same keys, same insertion order),
-  // so the recovery trajectory does not depend on how the pass is built.
-  const std::vector<LogRecord> records = wal_->Scan();
-  std::unordered_map<TxnId, TxnLogSummary> txns;
-  // Every decision the WAL witnessed, in log order, for the ledger.
-  std::vector<std::pair<TxnId, Decision>> decisions;
-  for (const LogRecord& r : records) {
-    TxnLogSummary& t = txns[r.txn];
-    t.last_type = r.type;
-    if (r.type == LogRecordType::kQuorumState) {
-      t.quorum = &r;
-    } else if (r.type == LogRecordType::kPaxosState) {
-      t.paxos = &r;
-    } else {
-      t.milestone = &r;
-      // Snapshot records reuse `participants` as a packed payload channel;
-      // only begin-commit/ready carry a membership list.
-      if (t.members == nullptr && !r.participants.empty() &&
-          (r.type == LogRecordType::kBeginCommit ||
-           r.type == LogRecordType::kReady)) {
-        t.members = &r;
-      }
-    }
-    Decision d;
-    if (LoggedDecision(r.type, &d)) decisions.emplace_back(r.txn, d);
-  }
+  WalSummary log = RecoveryManager::ScanWal(*wal_, id_);
+  // A restarted process builds a fresh allocator over the old log: allocate
+  // past every logged self-coordinated id, or new ids would collide with
+  // pre-crash transactions still in peers' decision ledgers. In-process
+  // hosts keep their allocator, which is already past them.
+  txn_ids_.Reseed(log.max_own_seq);
 
   // Section 4.2 independent recovery of every in-flight transaction.
-  for (const auto& [txn, t] : txns) {
-    if (t.last_type == LogRecordType::kTransactionCommit ||
-        t.last_type == LogRecordType::kTransactionAbort) {
-      continue;
-    }
+  for (const auto& [txn, t] : log.txns) {
+    if (!t.in_flight()) continue;
     if (t.milestone != nullptr) {
       const RecoveryAction action =
           RecoveryManager::AnalyzeRecord(*t.milestone);
@@ -874,7 +814,7 @@ void NodeCore::RecoverFromWal() {
                                            ? LogRecordType::kTransactionCommit
                                            : LogRecordType::kTransactionAbort;
         wal_->Append({0, txn, terminal, {}});
-        decisions.emplace_back(txn, d);
+        log.decisions.emplace_back(txn, d);
         if (monitor_ != nullptr) monitor_->RecordApplied(txn, id_, d);
         continue;
       }
@@ -922,17 +862,7 @@ void NodeCore::RecoverFromWal() {
   // protocol must still get an answer for transactions decided before the
   // crash; without this, two recovered nodes consulting each other about
   // an already-decided transaction would defer forever.
-  for (const auto& [txn, d] : decisions) engine_->SeedDecision(txn, d);
-}
-
-void NodeCore::ReseedTxnIdsFromWal() {
-  uint64_t max_seq = 0;
-  for (const LogRecord& r : wal_->Scan()) {
-    if (TxnCoordinator(r.txn) == id_) {
-      max_seq = std::max(max_seq, TxnSequence(r.txn));
-    }
-  }
-  txn_ids_.Reseed(max_seq);
+  for (const auto& [txn, d] : log.decisions) engine_->SeedDecision(txn, d);
 }
 
 // --------------------------------------------------------------------------

@@ -151,7 +151,8 @@ class NodeCore : public CommitEnv {
 
   /// Restart after a crash: runs the Section 4.2 independent-recovery
   /// analysis over the WAL, hands transactions it cannot resolve locally
-  /// to the termination protocol, seeds the decision ledger, and (unless
+  /// to the termination protocol, seeds the decision ledger, allocates
+  /// TxnIds past every one the node logged as coordinator, and (unless
   /// quiesced) puts the clients back to work.
   void Recover();
 
@@ -162,13 +163,6 @@ class NodeCore : public CommitEnv {
   /// crash/recover and irreversible. Safe from any thread.
   void Quiesce() { quiesced_.store(true, std::memory_order_relaxed); }
   bool quiesced() const { return quiesced_.load(std::memory_order_relaxed); }
-
-  /// Bumps the TxnId allocator past the highest self-coordinated sequence
-  /// in the WAL. In-process crash/recover keeps the allocator, but a real
-  /// process restart builds a fresh node over the old log — without the
-  /// reseed its ids would collide with pre-crash transactions still
-  /// present in peers' decision ledgers.
-  void ReseedTxnIdsFromWal();
 
   /// When enabled, records the TxnId of every transaction whose commit ran
   /// the commit protocol and was acked to a client — the durability set of
@@ -378,8 +372,9 @@ class NodeCore : public CommitEnv {
   bool ApplyOp(const Operation& op, std::vector<UndoRecord>* undo);
   void UndoWrites(const std::vector<UndoRecord>& undo);
 
-  /// Recovery: one pass over the WAL resolves every in-flight transaction
-  /// and seeds the fresh engine's decision ledger.
+  /// Recovery: consumes RecoveryManager::ScanWal's one pass over the WAL to
+  /// resolve every in-flight transaction, reseed the TxnId allocator and
+  /// seed the fresh engine's decision ledger.
   void RecoverFromWal();
 
   /// Aggregate's per-node step.

@@ -3,7 +3,6 @@
 
 #include <cstdio>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,7 +13,7 @@ namespace ecdb {
 
 /// Abstract write-ahead log. One instance per node; commit protocols append
 /// their milestone entries here before acting (write-ahead rule), and the
-/// recovery manager scans it after a restart.
+/// recovery pass (RecoveryManager::ScanWal) reads it once after a restart.
 class WriteAheadLog {
  public:
   virtual ~WriteAheadLog() = default;
@@ -25,9 +24,9 @@ class WriteAheadLog {
   /// Appends every record in `*records` in order as one group, assigning
   /// consecutive LSNs. `*records` is drained (cleared, capacity kept) so
   /// callers recycle the buffer. Returns the LSN of the last record, or 0
-  /// when the batch is empty. The base implementation is a plain Append
-  /// loop; buffering logs override it to stage the whole group at once.
-  virtual uint64_t AppendBatch(std::vector<LogRecord>* records);
+  /// when the batch is empty. An Append loop: a buffering log stages every
+  /// record until its next Flush, so the batch is one group anyway.
+  uint64_t AppendBatch(std::vector<LogRecord>* records);
 
   /// Group commit: makes every record appended since the previous Flush
   /// durable with a single device round-trip. Logs without write
@@ -42,10 +41,6 @@ class WriteAheadLog {
   /// Returns every record in append order.
   virtual std::vector<LogRecord> Scan() const = 0;
 
-  /// Returns the last record logged for `txn`, if any. This is the input
-  /// to the independent-recovery decision.
-  virtual std::optional<LogRecord> LastFor(TxnId txn) const = 0;
-
   /// Number of appended records.
   virtual uint64_t Size() const = 0;
 };
@@ -58,8 +53,7 @@ class MemoryWal : public WriteAheadLog {
   MemoryWal() = default;
 
   uint64_t Append(LogRecord record) override;
-  std::vector<LogRecord> Scan() const override;
-  std::optional<LogRecord> LastFor(TxnId txn) const override;
+  std::vector<LogRecord> Scan() const override { return records_; }
   uint64_t Size() const override { return records_.size(); }
 
   /// Memory is "durable" the moment Append returns, so Flush only keeps
@@ -68,23 +62,21 @@ class MemoryWal : public WriteAheadLog {
   Status Flush() override;
   uint64_t group_flushes() const override { return group_flushes_; }
 
-  /// Drops all records; used when a test re-initializes stable storage.
-  void Clear() { records_.clear(); }
-
  private:
   std::vector<LogRecord> records_;
   uint64_t appended_since_flush_ = 0;
   uint64_t group_flushes_ = 0;
 };
 
-/// File-backed WAL with a fixed-width binary record format and CRC-style
-/// framing check. Used by the threaded runtime examples to demonstrate
-/// recovery from an on-disk log.
+/// File-backed WAL with a binary record format and a per-record check
+/// word. Backs the threaded and socket hosts when they are given a WAL
+/// directory. Only the record count and the group staged since the last
+/// Flush live in memory; Scan decodes the file.
 class FileWal : public WriteAheadLog {
  public:
-  /// Opens (creating if needed) the log at `path` and replays existing
-  /// records into the in-memory index. A torn or corrupt tail is cut off
-  /// the file, so new appends follow the last good record.
+  /// Opens (creating if needed) the log at `path` and counts the records
+  /// in it. A torn or corrupt tail is cut off the file, so new appends
+  /// follow the last good record.
   static Result<std::unique_ptr<FileWal>> Open(const std::string& path);
 
   ~FileWal() override;
@@ -93,14 +85,13 @@ class FileWal : public WriteAheadLog {
   FileWal& operator=(const FileWal&) = delete;
 
   /// Appends stage the encoded record in an internal buffer; nothing
-  /// reaches the file until Flush (group commit). Scan/LastFor see staged
-  /// records immediately — the write-ahead rule is enforced by the host
-  /// flushing before it acts on the logged decision, not per append.
+  /// reaches the file until Flush (group commit). Scan sees staged records
+  /// immediately — the write-ahead rule is enforced by the host flushing
+  /// before it acts on the logged decision, not per append.
   uint64_t Append(LogRecord record) override;
-  uint64_t AppendBatch(std::vector<LogRecord>* records) override;
+  /// The file's records followed by the staged group, in LSN order.
   std::vector<LogRecord> Scan() const override;
-  std::optional<LogRecord> LastFor(TxnId txn) const override;
-  uint64_t Size() const override { return records_.size(); }
+  uint64_t Size() const override { return size_; }
 
   /// Writes every staged record and flushes the OS buffer once — the
   /// single device round-trip that covers the whole group. No-op (and not
@@ -108,13 +99,8 @@ class FileWal : public WriteAheadLog {
   Status Flush() override;
   uint64_t group_flushes() const override { return group_flushes_; }
 
-  /// Flushes buffered appends to the OS. (Group-commit alias: one Sync
-  /// covers every Append since the previous one.)
-  Status Sync() { return Flush(); }
-
   /// Crash hook for tests: discards records staged but never flushed, as
-  /// a real crash would — the in-memory mirror is truncated back to the
-  /// durable prefix so a subsequent Scan matches what reopen would see.
+  /// a real crash would, so Scan and Size match what reopen would see.
   void DropUnflushed();
 
   const std::string& path() const { return path_; }
@@ -124,9 +110,9 @@ class FileWal : public WriteAheadLog {
 
   std::string path_;
   std::FILE* file_;
-  std::vector<LogRecord> records_;  // in-memory mirror for Scan/LastFor
+  uint64_t size_ = 0;                   // records, durable and staged
+  uint64_t flushed_size_ = 0;           // of which in the file
   std::vector<unsigned char> pending_;  // encoded, staged since last flush
-  size_t flushed_records_ = 0;          // prefix of records_ on disk
   uint64_t group_flushes_ = 0;
 };
 

@@ -62,6 +62,26 @@ TEST(RecoveryRulesTest, TerminalEntriesAreIdempotent) {
             RecoveryAction::kAbort);
 }
 
+// The transactions of `log` the recovery pass leaves to resolve, sorted.
+std::vector<TxnId> InFlight(const WalSummary& log) {
+  std::vector<TxnId> out;
+  for (const auto& [txn, t] : log.txns) {
+    if (t.in_flight()) out.push_back(txn);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// What the node decides for `txn` from the pass result: rule (i) when the
+// WAL has no milestone for it.
+RecoveryAction ActionFor(const WalSummary& log, TxnId txn) {
+  const auto it = log.txns.find(txn);
+  if (it == log.txns.end() || it->second.milestone == nullptr) {
+    return RecoveryManager::AnalyzeRecord(std::nullopt);
+  }
+  return RecoveryManager::AnalyzeRecord(*it->second.milestone);
+}
+
 TEST(RecoveryScanTest, InFlightExcludesTerminated) {
   MemoryWal wal;
   // txn 1: fully committed. txn 2: stuck in READY. txn 3: decision logged
@@ -74,24 +94,56 @@ TEST(RecoveryScanTest, InFlightExcludesTerminated) {
   wal.Append({0, 3, LogRecordType::kCommitDecision, {}});
   wal.Append({0, 4, LogRecordType::kTransactionAbort, {}});
 
-  auto in_flight = RecoveryManager::InFlightTxns(wal);
-  std::sort(in_flight.begin(), in_flight.end());
-  EXPECT_EQ(in_flight, (std::vector<TxnId>{2, 3}));
+  const WalSummary log = RecoveryManager::ScanWal(wal, /*self=*/0);
+  EXPECT_EQ(log.txns.size(), 4u);
+  EXPECT_EQ(InFlight(log), (std::vector<TxnId>{2, 3}));
 }
 
 TEST(RecoveryScanTest, EmptyWalHasNoInFlight) {
   MemoryWal wal;
-  EXPECT_TRUE(RecoveryManager::InFlightTxns(wal).empty());
+  const WalSummary log = RecoveryManager::ScanWal(wal, /*self=*/0);
+  EXPECT_TRUE(log.txns.empty());
+  EXPECT_TRUE(log.decisions.empty());
+  EXPECT_EQ(log.max_own_seq, 0u);
 }
 
 TEST(RecoveryScanTest, AnalyzeUsesLastEntry) {
   MemoryWal wal;
   wal.Append({0, 7, LogRecordType::kReady, {}});
-  EXPECT_EQ(RecoveryManager::Analyze(wal, 7),
+  EXPECT_EQ(ActionFor(RecoveryManager::ScanWal(wal, 0), 7),
             RecoveryAction::kConsultPeers);
   wal.Append({0, 7, LogRecordType::kCommitReceived, {}});
-  EXPECT_EQ(RecoveryManager::Analyze(wal, 7), RecoveryAction::kCommit);
-  EXPECT_EQ(RecoveryManager::Analyze(wal, 99), RecoveryAction::kAbort);
+  const WalSummary log = RecoveryManager::ScanWal(wal, 0);
+  EXPECT_EQ(ActionFor(log, 7), RecoveryAction::kCommit);
+  EXPECT_EQ(ActionFor(log, 99), RecoveryAction::kAbort);
+}
+
+TEST(RecoveryScanTest, DecisionBeforeSnapshotRecoversAsCommit) {
+  // A decision record followed by a Paxos snapshot for the same
+  // transaction: the snapshot is the last record, but it carries a ballot,
+  // not progress, so the logged decision still drives recovery.
+  MemoryWal wal;
+  wal.Append({0, 7, LogRecordType::kReady, {0, 1, 2}});
+  wal.Append({0, 7, LogRecordType::kCommitReceived, {}});
+  wal.Append({0, 7, LogRecordType::kPaxosState,
+              PackPaxosState(MakeQuorumEpoch(1, 0), {})});
+  const WalSummary log = RecoveryManager::ScanWal(wal, 0);
+  const TxnLogSummary& t = log.txns.at(7);
+  EXPECT_TRUE(t.in_flight());
+  EXPECT_EQ(t.last_type, LogRecordType::kPaxosState);
+  EXPECT_EQ(ActionFor(log, 7), RecoveryAction::kCommit);
+  EXPECT_EQ(log.decisions,
+            (std::vector<std::pair<TxnId, Decision>>{{7, Decision::kCommit}}));
+}
+
+TEST(RecoveryScanTest, MaxOwnSeqCountsOnlySelfCoordinated) {
+  MemoryWal wal;
+  wal.Append({0, MakeTxnId(1, 5), LogRecordType::kBeginCommit, {1, 2}});
+  wal.Append({0, MakeTxnId(2, 90), LogRecordType::kReady, {2, 1}});
+  wal.Append({0, MakeTxnId(1, 3), LogRecordType::kTransactionAbort, {}});
+  EXPECT_EQ(RecoveryManager::ScanWal(wal, 1).max_own_seq, 5u);
+  EXPECT_EQ(RecoveryManager::ScanWal(wal, 2).max_own_seq, 90u);
+  EXPECT_EQ(RecoveryManager::ScanWal(wal, 3).max_own_seq, 0u);
 }
 
 // --------------------------------------------------------------------------
@@ -126,13 +178,19 @@ TEST(RecoveryScanTest, LastMilestoneSkipsSnapshots) {
                               false)});
   wal.Append({0, 7, LogRecordType::kPaxosState, PackPaxosState(0, {})});
 
-  // LastFor sees the snapshot; LastMilestone sees through it to READY.
-  ASSERT_TRUE(wal.LastFor(7).has_value());
-  EXPECT_EQ(wal.LastFor(7)->type, LogRecordType::kPaxosState);
-  const auto milestone = RecoveryManager::LastMilestone(wal, 7);
-  ASSERT_TRUE(milestone.has_value());
-  EXPECT_EQ(milestone->type, LogRecordType::kReady);
-  EXPECT_EQ(milestone->participants.vec(), (std::vector<NodeId>{0, 1, 2}));
+  // The last record is the snapshot; the milestone sees through it to
+  // READY, and each snapshot is kept for reseeding.
+  const WalSummary log = RecoveryManager::ScanWal(wal, 0);
+  const TxnLogSummary& t = log.txns.at(7);
+  EXPECT_EQ(t.last_type, LogRecordType::kPaxosState);
+  ASSERT_NE(t.milestone, nullptr);
+  EXPECT_EQ(t.milestone->type, LogRecordType::kReady);
+  EXPECT_EQ(t.milestone->participants.vec(), (std::vector<NodeId>{0, 1, 2}));
+  EXPECT_EQ(t.members, t.milestone);
+  ASSERT_NE(t.quorum, nullptr);
+  EXPECT_EQ(t.quorum->type, LogRecordType::kQuorumState);
+  ASSERT_NE(t.paxos, nullptr);
+  EXPECT_EQ(t.paxos->type, LogRecordType::kPaxosState);
 }
 
 TEST(RecoveryScanTest, LastMilestoneNulloptForAcceptorOnly) {
@@ -141,10 +199,12 @@ TEST(RecoveryScanTest, LastMilestoneNulloptForAcceptorOnly) {
   MemoryWal wal;
   wal.Append({0, 7, LogRecordType::kPaxosState,
               PackPaxosState(MakeQuorumEpoch(2, 1), {})});
-  EXPECT_FALSE(RecoveryManager::LastMilestone(wal, 7).has_value());
+  EXPECT_EQ(RecoveryManager::ScanWal(wal, 0).txns.at(7).milestone, nullptr);
   // Other transactions' milestones do not bleed in.
   wal.Append({0, 8, LogRecordType::kReady, {}});
-  EXPECT_FALSE(RecoveryManager::LastMilestone(wal, 7).has_value());
+  const WalSummary log = RecoveryManager::ScanWal(wal, 0);
+  EXPECT_EQ(log.txns.at(7).milestone, nullptr);
+  ASSERT_NE(log.txns.at(8).milestone, nullptr);
 }
 
 TEST(RecoveryScanTest, SnapshotOnlyTxnIsInFlight) {
@@ -153,7 +213,9 @@ TEST(RecoveryScanTest, SnapshotOnlyTxnIsInFlight) {
   // commit (acceptor amnesia).
   MemoryWal wal;
   wal.Append({0, 7, LogRecordType::kPaxosState, PackPaxosState(0, {})});
-  EXPECT_EQ(RecoveryManager::InFlightTxns(wal), (std::vector<TxnId>{7}));
+  const WalSummary log = RecoveryManager::ScanWal(wal, 0);
+  EXPECT_EQ(InFlight(log), (std::vector<TxnId>{7}));
+  EXPECT_NE(log.txns.at(7).paxos, nullptr);
 }
 
 TEST(QuorumCodecTest, QuorumStateRoundTrips) {

@@ -70,8 +70,10 @@ TEST(SimNodeTest, WaitDieAbortsLessThanNoWaitUnderContention) {
 class RecordingHost : public NodeCore {
  public:
   RecordingHost(NodeId id, const Params& params, Workload* workload,
-                MetricsHandle metrics)
-      : NodeCore(id, params, std::make_unique<MemoryWal>(), workload,
+                MetricsHandle metrics,
+                std::unique_ptr<WriteAheadLog> wal =
+                    std::make_unique<MemoryWal>())
+      : NodeCore(id, params, std::move(wal), workload,
                  /*monitor=*/nullptr, /*seed=*/1, metrics) {}
   Micros NowUs() const override { return 0; }
   using NodeCore::CancelTimer;
@@ -153,6 +155,35 @@ TEST(SimNodeTest, RollbackOfWaitDieSuspendedExecIsConsumed) {
   EXPECT_EQ(node.locks().ActiveEntries(), 0u);
   EXPECT_EQ(node.VoteFor(x), Decision::kAbort);  // no fragment kept
   EXPECT_EQ(version(), version_before);
+}
+
+TEST(SimNodeTest, RecoveryReseedsTxnIdsPastTheWal) {
+  // A restarted process builds a fresh node over its old log. Recovery
+  // must allocate past every TxnId the node logged as coordinator, or new
+  // transactions would reuse ids peers still hold decisions for.
+  ClusterConfig cfg = BaseConfig();
+  YcsbWorkload ycsb(BaseYcsb());
+  Telemetry telemetry(TelemetryConfig{}, /*shards=*/1);
+  auto wal = std::make_unique<MemoryWal>();
+  const TxnId logged = MakeTxnId(1, 42);
+  wal->Append({0, logged, LogRecordType::kBeginCommit, {1, 2}});
+  wal->Append({0, logged, LogRecordType::kTransactionAbort, {}});
+  RecordingHost node(
+      1,
+      NodeCore::Params::From(cfg, cfg.exec_timeout_us,
+                             /*release_locks_at_decision=*/false),
+      &ycsb, telemetry.Shard(0), std::move(wal));
+  node.Bootstrap();
+  node.Crash();
+  node.Recover();  // the closed-loop clients start new transactions
+
+  size_t own = 0;
+  for (const Message& msg : node.sent) {
+    if (TxnCoordinator(msg.txn) != 1) continue;
+    own++;
+    EXPECT_GT(TxnSequence(msg.txn), 42u);
+  }
+  EXPECT_GT(own, 0u);
 }
 
 TEST(SimNodeTest, WalContainsProtocolMilestones) {
@@ -330,8 +361,11 @@ TEST(SimNodeTest, RecoveryFinalizesInFlightTxnsInWal) {
   cluster.RunFor(0.5);
   // After recovery + termination, consult-peers cases resolve; only
   // transactions whose outcome is still being consulted may remain.
-  const auto in_flight = RecoveryManager::InFlightTxns(cluster.node(1).wal());
-  EXPECT_LT(in_flight.size(), 24u);
+  const WalSummary log =
+      RecoveryManager::ScanWal(cluster.node(1).wal(), /*self=*/1);
+  size_t in_flight = 0;
+  for (const auto& [txn, t] : log.txns) in_flight += t.in_flight();
+  EXPECT_LT(in_flight, 24u);
   EXPECT_TRUE(cluster.monitor().Violations().empty());
 }
 
