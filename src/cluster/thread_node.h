@@ -114,7 +114,8 @@ class ThreadNode : public NodeCore {
 
   /// First thing the worker loop does: adopts the worker's clock base (all
   /// co-hosted nodes share one time axis for the shared timer heap) and
-  /// starts the clients.
+  /// starts the clients, unless the node is crashed (its recovery starts
+  /// them).
   void OnLoopStart(std::chrono::steady_clock::time_point epoch);
 
   /// Applies pending crash/recover requests (once per loop iteration).
