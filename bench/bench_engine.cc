@@ -9,6 +9,8 @@
 //                    decision re-broadcast (paper Section 5.3).
 //   3. End to end  — complete commit rounds per wall-clock second for
 //                    2PC / 3PC / EC on a ProtocolTestbed.
+//   4. Storage     — bulk-loading a YCSB-shaped table and keyed row access
+//                    on it: the row store every transaction operation hits.
 //
 // `scripts/bench_to_json.py` runs this binary and appends a labeled entry
 // to BENCH_engine.json, the repo's perf-trajectory file. The acceptance
@@ -17,11 +19,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <vector>
 
 #include "commit/testbed.h"
+#include "common/rng.h"
 #include "net/network.h"
 #include "sim/scheduler.h"
+#include "storage/table.h"
 
 namespace {
 
@@ -223,6 +228,55 @@ void BM_EasyCommitConcurrent(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kInflight);
 }
 BENCHMARK(BM_EasyCommitConcurrent)->Arg(8)->Arg(32);
+
+// --------------------------------------------------------------------------
+// 4. Storage
+// --------------------------------------------------------------------------
+
+// One YCSB-shaped partition: 2^17 rows of 10 columns, the per-node table
+// size of the repository benchmark's 2M-row, 16-node cluster.
+constexpr Key kTableRows = 131072;
+constexpr uint32_t kTableColumns = 10;
+
+// Bulk load the way YcsbWorkload::LoadPartition does it: Reserve, then one
+// Insert per row. Items are rows, so ns per row = 1e9 / items_per_second.
+// Freeing the table is not part of the load and runs untimed.
+void BM_TableLoad(benchmark::State& state) {
+  for (auto _ : state) {
+    auto table = std::make_unique<Table>(0, "usertable", kTableColumns);
+    table->Reserve(kTableRows);
+    for (Key key = 0; key < kTableRows; ++key) {
+      benchmark::DoNotOptimize(table->Insert(key));
+    }
+    state.PauseTiming();
+    table.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * kTableRows);
+}
+BENCHMARK(BM_TableLoad)->Unit(benchmark::kMillisecond);
+
+// The execution engine's write access: look a key up and bump the row's
+// version, over Zipf(0.6) keys (the benchmark's YCSB skew) drawn ahead of
+// the timed loop.
+void BM_TableGetMutable(benchmark::State& state) {
+  Table table(0, "usertable", kTableColumns);
+  table.Reserve(kTableRows);
+  for (Key key = 0; key < kTableRows; ++key) (void)table.Insert(key);
+  const ZipfianGenerator zipf(kTableRows, 0.6);
+  Rng rng(1);
+  std::vector<Key> keys(1 << 16);
+  for (Key& key : keys) key = zipf.Next(rng);
+  size_t i = 0;
+  for (auto _ : state) {
+    auto row = table.GetMutable(keys[i++ & (keys.size() - 1)]);
+    row.value()->version++;
+    benchmark::DoNotOptimize(row);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TableGetMutable);
 
 }  // namespace
 

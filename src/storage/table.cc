@@ -1,44 +1,55 @@
 #include "storage/table.h"
 
+#include <cassert>
+#include <limits>
 #include <utility>
+
+#include "common/logging.h"
 
 namespace ecdb {
 
 Table::Table(TableId id, std::string name, uint32_t num_columns)
     : id_(id), name_(std::move(name)), num_columns_(num_columns) {}
 
-Status Table::Insert(Key key) {
-  return InsertWith(key, std::vector<uint64_t>(num_columns_, 0));
+void Table::Reserve(size_t n) {
+  index_.Reserve(n);
+  rows_.reserve(n);
+  columns_.reserve(n * num_columns_);
 }
 
-Status Table::InsertWith(Key key, std::vector<uint64_t> columns) {
-  columns.resize(num_columns_, 0);
-  Row row;
-  row.key = key;
-  row.columns = std::move(columns);
-  auto [slot, inserted] = rows_.Emplace(key, std::move(row));
-  (void)slot;
-  if (!inserted) {
+Status Table::Insert(Key key) {
+  ECDB_CHECK(rows_.size() < std::numeric_limits<uint32_t>::max());
+  if (!index_.Emplace(key, static_cast<uint32_t>(rows_.size())).second) {
     return Status::AlreadyExists("key already in table " + name_);
   }
+  rows_.emplace_back();
+  columns_.resize(columns_.size() + num_columns_, 0);
   return Status::OK();
 }
 
 Result<const Row*> Table::Get(Key key) const {
-  const Row* row = rows_.Find(key);
-  if (row == nullptr) return Status::NotFound();
-  return row;
+  const uint32_t* position = index_.Find(key);
+  if (position == nullptr) return Status::NotFound();
+  return &rows_[*position];
 }
 
 Result<Row*> Table::GetMutable(Key key) {
-  Row* row = rows_.Find(key);
-  if (row == nullptr) return Status::NotFound();
-  return row;
+  const uint32_t* position = index_.Find(key);
+  if (position == nullptr) return Status::NotFound();
+  return &rows_[*position];
 }
 
-Status Table::Erase(Key key) {
-  if (!rows_.Erase(key)) return Status::NotFound();
-  return Status::OK();
+size_t Table::PositionOf(const Row* row) const {
+  assert(row >= rows_.data() && row < rows_.data() + rows_.size());
+  return static_cast<size_t>(row - rows_.data());
+}
+
+std::span<const uint64_t> Table::Columns(const Row* row) const {
+  return {columns_.data() + PositionOf(row) * num_columns_, num_columns_};
+}
+
+std::span<uint64_t> Table::Columns(Row* row) {
+  return {columns_.data() + PositionOf(row) * num_columns_, num_columns_};
 }
 
 Status PartitionStore::CreateTable(TableId id, const std::string& name,

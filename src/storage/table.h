@@ -2,6 +2,7 @@
 #define ECDB_STORAGE_TABLE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -12,13 +13,14 @@
 
 namespace ecdb {
 
-/// A row: primary key plus fixed-width columns. The evaluation workloads
-/// never inspect payload bytes, so columns are modeled as 64-bit words; a
-/// YCSB row (10 x 100B fields) is simulated with configurable column count.
+/// A row's header. The evaluation workloads never inspect payload bytes, so
+/// columns are modeled as 64-bit words (a YCSB row of 10 x 100B fields is
+/// simulated with a configurable column count). They do not live in the
+/// row: each table keeps every row's columns in one column arena,
+/// `num_columns()` words per row, and `Table::Columns` hands them out.
+/// Rows are dense in insertion order, so a row's position in the table's
+/// row vector is also its position in the arena.
 struct Row {
-  Key key = 0;
-  std::vector<uint64_t> columns;
-
   /// Bumped on every committed write; lets tests verify atomicity (all of a
   /// transaction's writes applied or none).
   uint64_t version = 0;
@@ -27,9 +29,10 @@ struct Row {
 /// Hash-indexed in-memory table, single-partition. Not thread-safe: in both
 /// runtimes a partition is touched only by its owning node (shared-nothing),
 /// and the threaded runtime serializes access through the node's event loop.
-/// Rows live in an open-addressing FlatMap, so the per-operation row lookup
-/// (the innermost step of every transaction) is a mix + mask + short probe
-/// with no bucket chain to chase.
+/// The key index is an open-addressing FlatMap from key to row position, so
+/// the per-operation row lookup (the innermost step of every transaction) is
+/// a mix + mask + short probe with no bucket chain to chase. Rows and their
+/// columns are two flat arrays with no per-row heap block.
 class Table {
  public:
   /// Empty placeholder table (needed by FlatMap slot storage); only tables
@@ -44,35 +47,38 @@ class Table {
   uint32_t num_columns() const { return num_columns_; }
   size_t size() const { return rows_.size(); }
 
-  /// Pre-sizes the row index for `n` rows so a bulk load performs no
-  /// rehash mid-fill (the workload loaders call this before inserting).
-  void Reserve(size_t n) { rows_.Reserve(n); }
+  /// Pre-sizes the key index, the rows and the column arena for `n` rows so
+  /// a bulk load performs no rehash or regrowth mid-fill (the workload
+  /// loaders call this before inserting).
+  void Reserve(size_t n);
 
-  /// Inserts a row with all columns zero. Fails with AlreadyExists.
+  /// Inserts a row with version and all columns zero. Fails with
+  /// AlreadyExists, and then uses no row or arena space.
   Status Insert(Key key);
 
-  /// Inserts a row with the given column values (padded/truncated to the
-  /// schema width). Fails with AlreadyExists.
-  Status InsertWith(Key key, std::vector<uint64_t> columns);
-
   /// Returns the row or NotFound. The pointer is valid only until the next
-  /// mutation of the table: Insert can rehash the row index and Erase
-  /// backward-shifts rows into the vacated slot, either of which moves rows
-  /// in memory. Do not hold it across Insert/InsertWith/Erase/Reserve.
+  /// Insert or Reserve: either can rehash the key index and grow the row
+  /// vector and the column arena, which moves rows and columns in memory.
   Result<const Row*> Get(Key key) const;
 
   /// Mutable access for the execution engine. Returns NotFound if absent.
   /// Same validity contract as Get.
   Result<Row*> GetMutable(Key key);
 
-  /// Removes a row; NotFound if absent.
-  Status Erase(Key key);
+  /// The `num_columns()` columns of `row`, which must come from this
+  /// table's Get/GetMutable. Same validity contract as Get.
+  std::span<const uint64_t> Columns(const Row* row) const;
+  std::span<uint64_t> Columns(Row* row);
 
  private:
+  size_t PositionOf(const Row* row) const;
+
   TableId id_ = 0;
   std::string name_;
   uint32_t num_columns_ = 0;
-  FlatMap<Key, Row> rows_;
+  FlatMap<Key, uint32_t> index_;   // key -> position in rows_
+  std::vector<Row> rows_;          // dense, insertion order
+  std::vector<uint64_t> columns_;  // row i's columns at [i * num_columns_]
 };
 
 /// All tables owned by one partition. A node hosts exactly one partition in

@@ -13,11 +13,13 @@
 namespace ecdb {
 
 /// Before-image of one updated row, kept while a transaction is in flight
-/// so an abort can restore the row (in-place update + undo, 2PL style).
+/// so an abort can restore the row (in-place update + undo, 2PL style). A
+/// write changes only column 0 and the version (NodeCore::ApplyOp), so those
+/// two words are the whole image.
 struct UndoRecord {
   TableId table = 0;
   Key key = 0;
-  std::vector<uint64_t> old_columns;
+  uint64_t old_column0 = 0;
   uint64_t old_version = 0;
 };
 

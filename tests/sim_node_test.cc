@@ -132,18 +132,18 @@ TEST(SimNodeTest, RollbackOfWaitDieSuspendedExecIsConsumed) {
   };
   const TxnId y = MakeTxnId(2, 1);
   const TxnId x = MakeTxnId(0, 1);
-  auto version = [&] {
-    return node.store()
-        .GetTable(YcsbWorkload::kTableId)
-        ->Get(write.key)
-        .value()
-        ->version;
+  const Table* table = node.store().GetTable(YcsbWorkload::kTableId);
+  auto version = [&] { return table->Get(write.key).value()->version; };
+  auto column0 = [&] {
+    return table->Columns(table->Get(write.key).value())[0];
   };
   const uint64_t version_before = version();
+  const uint64_t column0_before = column0();
 
   exec(y, /*priority_ts=*/10);
   ASSERT_EQ(node.sent.size(), 1u);
   EXPECT_EQ(node.sent[0].type, MsgType::kRemoteExecOk);
+  EXPECT_EQ(column0(), column0_before + 1);  // Y's write is applied
   exec(x, /*priority_ts=*/5);  // older: waits behind Y
   EXPECT_EQ(node.sent.size(), 1u);
   rollback(x);  // X is still waiting: stashed
@@ -155,6 +155,7 @@ TEST(SimNodeTest, RollbackOfWaitDieSuspendedExecIsConsumed) {
   EXPECT_EQ(node.locks().ActiveEntries(), 0u);
   EXPECT_EQ(node.VoteFor(x), Decision::kAbort);  // no fragment kept
   EXPECT_EQ(version(), version_before);
+  EXPECT_EQ(column0(), column0_before);
 }
 
 TEST(SimNodeTest, RecoveryReseedsTxnIdsPastTheWal) {

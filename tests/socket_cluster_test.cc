@@ -8,19 +8,36 @@
 
 #include <stdlib.h>
 
+#include <filesystem>
 #include <string>
+#include <system_error>
 
 #include "gtest/gtest.h"
 
 namespace ecdb {
 namespace {
 
-std::string MakeTempDir() {
-  char tmpl[] = "/tmp/ecdb_socket_test_XXXXXX";
-  const char* dir = mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr);
-  return dir ? dir : "";
-}
+/// A fresh /tmp directory, removed with its contents when the test ends.
+class TempDir {
+ public:
+  TempDir() {
+    char tmpl[] = "/tmp/ecdb_socket_test_XXXXXX";
+    const char* dir = mkdtemp(tmpl);
+    EXPECT_NE(dir, nullptr);
+    if (dir != nullptr) path_ = dir;
+  }
+  ~TempDir() {
+    std::error_code ec;
+    if (!path_.empty()) std::filesystem::remove_all(path_, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 TEST(SocketClusterTest, LoopbackOpenLoopConservation) {
   // n=4 open loop on loopback TCP: after quiesce + drain the aggregated
@@ -68,15 +85,15 @@ TEST(SocketClusterTest, CrashDuringDecisionFloodAndRecovery) {
   // through the crash, the replacement must recover from its log and
   // commit new transactions, and EC's duplicate-decision suppression must
   // show the flood was actually redundant end to end.
-  const std::string wal_dir = MakeTempDir();
-  ASSERT_FALSE(wal_dir.empty());
+  const TempDir wal_dir;  // declared before the cluster: outlives its nodes
+  ASSERT_FALSE(wal_dir.path().empty());
 
   SocketClusterConfig cfg;
   cfg.num_nodes = 4;
   cfg.clients_per_node = 8;
   cfg.coalesce = true;  // also the WAL group-commit knob: crash needs a
                         // durably flushed log to recover from
-  cfg.wal_dir = wal_dir;
+  cfg.wal_dir = wal_dir.path();
   cfg.seed = 23;
   // Failure-detection timeouts sized to the outage: a client stuck on the
   // dead node must abort, retry and commit a transaction that avoids it

@@ -12,8 +12,8 @@ TEST(TableTest, InsertAndGet) {
   ASSERT_TRUE(t.Insert(10).ok());
   auto row = t.Get(10);
   ASSERT_TRUE(row.ok());
-  EXPECT_EQ(row.value()->key, 10u);
-  EXPECT_EQ(row.value()->columns.size(), 4u);
+  EXPECT_EQ(t.Columns(row.value()).size(), 4u);
+  for (uint64_t column : t.Columns(row.value())) EXPECT_EQ(column, 0u);
   EXPECT_EQ(row.value()->version, 0u);
 }
 
@@ -24,23 +24,54 @@ TEST(TableTest, DuplicateInsertFails) {
   EXPECT_EQ(t.size(), 1u);
 }
 
+TEST(TableTest, RejectedDuplicateConsumesNoCells) {
+  Table t(0, "t", 3);
+  ASSERT_TRUE(t.Insert(1).ok());
+  for (uint64_t& column : t.Columns(t.GetMutable(1).value())) column = 7;
+  ASSERT_EQ(t.Insert(1).code(), Code::kAlreadyExists);
+  EXPECT_EQ(t.size(), 1u);
+  // The next row takes the arena cells right after row 1's: had the
+  // rejected insert claimed cells, this row would sit one stride later.
+  ASSERT_TRUE(t.Insert(2).ok());
+  EXPECT_EQ(t.size(), 2u);
+  const Row* first = t.Get(1).value();
+  const Row* second = t.Get(2).value();
+  EXPECT_EQ(second - first, 1);
+  EXPECT_EQ(t.Columns(second).data() - t.Columns(first).data(), 3);
+  for (uint64_t column : t.Columns(first)) EXPECT_EQ(column, 7u);
+  for (uint64_t column : t.Columns(second)) EXPECT_EQ(column, 0u);
+}
+
+TEST(TableTest, InsertsPastReserveKeepEarlierRows) {
+  // Growing the row vector and the column arena moves them; every row
+  // must still read back its own columns and version afterwards.
+  Table t(0, "t", 3);
+  t.Reserve(4);
+  constexpr Key kRows = 1000;
+  for (Key k = 0; k < kRows; ++k) {
+    ASSERT_TRUE(t.Insert(k).ok());
+    auto row = t.GetMutable(k);
+    ASSERT_TRUE(row.ok());
+    row.value()->version = k + 1;
+    auto columns = t.Columns(row.value());
+    for (uint32_t c = 0; c < columns.size(); ++c) columns[c] = k * 10 + c;
+  }
+  EXPECT_EQ(t.size(), kRows);
+  for (Key k = 0; k < kRows; ++k) {
+    auto row = t.Get(k);
+    ASSERT_TRUE(row.ok());
+    EXPECT_EQ(row.value()->version, k + 1);
+    auto columns = t.Columns(row.value());
+    ASSERT_EQ(columns.size(), 3u);
+    for (uint32_t c = 0; c < columns.size(); ++c) {
+      EXPECT_EQ(columns[c], k * 10 + c) << "key " << k << " column " << c;
+    }
+  }
+}
+
 TEST(TableTest, GetMissingIsNotFound) {
   Table t(0, "t", 2);
   EXPECT_TRUE(t.Get(99).status().IsNotFound());
-}
-
-TEST(TableTest, InsertWithValuesPadsToSchema) {
-  Table t(0, "t", 4);
-  ASSERT_TRUE(t.InsertWith(5, {7, 8}).ok());
-  auto row = t.Get(5);
-  ASSERT_TRUE(row.ok());
-  EXPECT_EQ(row.value()->columns, (std::vector<uint64_t>{7, 8, 0, 0}));
-}
-
-TEST(TableTest, InsertWithValuesTruncatesToSchema) {
-  Table t(0, "t", 2);
-  ASSERT_TRUE(t.InsertWith(5, {1, 2, 3, 4}).ok());
-  EXPECT_EQ(t.Get(5).value()->columns.size(), 2u);
 }
 
 TEST(TableTest, MutableUpdatePersists) {
@@ -48,18 +79,11 @@ TEST(TableTest, MutableUpdatePersists) {
   ASSERT_TRUE(t.Insert(3).ok());
   auto row = t.GetMutable(3);
   ASSERT_TRUE(row.ok());
-  row.value()->columns[0] = 42;
+  t.Columns(row.value())[0] = 42;
   row.value()->version++;
-  EXPECT_EQ(t.Get(3).value()->columns[0], 42u);
+  const Table& cref = t;
+  EXPECT_EQ(cref.Columns(cref.Get(3).value())[0], 42u);
   EXPECT_EQ(t.Get(3).value()->version, 1u);
-}
-
-TEST(TableTest, EraseRemovesRow) {
-  Table t(0, "t", 2);
-  ASSERT_TRUE(t.Insert(3).ok());
-  EXPECT_TRUE(t.Erase(3).ok());
-  EXPECT_TRUE(t.Get(3).status().IsNotFound());
-  EXPECT_TRUE(t.Erase(3).IsNotFound());
 }
 
 TEST(TableTest, Metadata) {
@@ -78,6 +102,38 @@ TEST(PartitionStoreTest, CreateAndGetTable) {
   ASSERT_NE(store.GetTable(1), nullptr);
   EXPECT_EQ(store.GetTable(1)->name(), "b");
   EXPECT_EQ(store.GetTable(7), nullptr);
+}
+
+TEST(PartitionStoreTest, TablesOfDifferentWidthsNeverAlias) {
+  PartitionStore store(0);
+  ASSERT_TRUE(store.CreateTable(0, "narrow", 2).ok());
+  ASSERT_TRUE(store.CreateTable(1, "wide", 5).ok());
+  constexpr Key kRows = 100;
+  for (Key k = 0; k < kRows; ++k) {
+    ASSERT_TRUE(store.GetTable(0)->Insert(k).ok());
+    ASSERT_TRUE(store.GetTable(1)->Insert(k).ok());
+  }
+  // Fill the same keys of both tables with distinct patterns, then check
+  // that neither table's writes show through in the other.
+  for (TableId id : {TableId{0}, TableId{1}}) {
+    Table* table = store.GetTable(id);
+    for (Key k = 0; k < kRows; ++k) {
+      Row* row = table->GetMutable(k).value();
+      row->version = id * 1000 + k;
+      for (uint64_t& column : table->Columns(row)) column = id * 1000 + k;
+    }
+  }
+  for (TableId id : {TableId{0}, TableId{1}}) {
+    const Table* table = store.GetTable(id);
+    for (Key k = 0; k < kRows; ++k) {
+      const Row* row = table->Get(k).value();
+      EXPECT_EQ(row->version, id * 1000 + k);
+      EXPECT_EQ(table->Columns(row).size(), id == 0 ? 2u : 5u);
+      for (uint64_t column : table->Columns(row)) {
+        EXPECT_EQ(column, id * 1000 + k) << "table " << id << " key " << k;
+      }
+    }
+  }
 }
 
 TEST(PartitionStoreTest, DuplicateTableIdFails) {

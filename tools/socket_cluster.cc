@@ -18,7 +18,8 @@
 // node's process at --kill-at seconds (peers see a real TCP reset);
 // --restart-at replaces it with a fresh process over the same WAL, which
 // replays recovery before serving. A kill/restart schedule requires a
-// file-backed WAL; --wal-dir defaults to a fresh temp directory.
+// file-backed WAL; --wal-dir defaults to a fresh temp directory, which the
+// tool removes when the run ends (a given --wal-dir is always kept).
 //
 // --assert-conservation enforces the open-loop conservation law over the
 // aggregated ledger (exit 1 on violation; only valid for kill-free runs —
@@ -31,7 +32,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
+#include <system_error>
 
 #include <stdlib.h>  // mkdtemp
 
@@ -41,6 +44,20 @@
 namespace {
 
 using namespace ecdb;
+
+/// Removes `path` and its contents when it goes out of scope; an empty path
+/// removes nothing.
+struct RemoveDirOnExit {
+  RemoveDirOnExit() = default;
+  RemoveDirOnExit(const RemoveDirOnExit&) = delete;
+  RemoveDirOnExit& operator=(const RemoveDirOnExit&) = delete;
+  ~RemoveDirOnExit() {
+    std::error_code ec;
+    if (!path.empty()) std::filesystem::remove_all(path, ec);
+  }
+
+  std::string path;
+};
 
 int Usage(const char* argv0) {
   std::fprintf(
@@ -165,6 +182,9 @@ int main(int argc, char** argv) {
                  "--assert-conservation needs --rate and no kill schedule\n");
     return 2;
   }
+  // Declared before the cluster, so its node processes are gone by the
+  // time the directory is removed.
+  RemoveDirOnExit created_wal_dir;
   if (has_kill && cfg.wal_dir.empty()) {
     char tmpl[] = "/tmp/ecdb_socket_XXXXXX";
     const char* dir = mkdtemp(tmpl);
@@ -173,7 +193,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     cfg.wal_dir = dir;
-    std::printf("socket_cluster: wal-dir %s\n", dir);
+    created_wal_dir.path = dir;
+    std::printf("socket_cluster: wal-dir %s (removed at exit)\n", dir);
   }
 
   SocketCluster cluster(cfg);
